@@ -16,21 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .matching_core import (
-    Assignment,
-    Receiver,
-    UnschedulableReceiverError,
-    build_cost_matrix,
-    spectrum_efficiency,
-)
+from .matching_core import Assignment, Receiver, UnschedulableReceiverError, build_cost_matrix
 from .rate_model import HierRateModel, ModcodTable
-from .strategies import (
-    MatchingReport,
-    PerturbConfig,
-    largest_diff_matching,
-    quasi_optimal_matching,
-    time_sharing,
-)
+from .strategies import PerturbConfig, quasi_optimal_matching, snr_sorted_order
 
 __all__ = [
     "BeamModel",
@@ -42,7 +30,6 @@ __all__ = [
     "STRATEGY_QUASI_OPTIMAL",
     "STRATEGY_UPPER_BOUND",
     "sample_receivers",
-    "snr_sorted_order",
     "pair_probability_matrix",
     "run_campaign",
     "summary_to_json_dict",
@@ -124,11 +111,6 @@ def sample_receivers(model: BeamModel) -> list[Receiver]:
     return [Receiver(index=i + 1, snr_db=float(s)) for i, s in enumerate(snrs)]
 
 
-def snr_sorted_order(receivers: Sequence[Receiver]) -> list[int]:
-    """Positions sorted by ascending SNR, ties by original position."""
-    return sorted(range(len(receivers)), key=lambda k: (receivers[k].snr_db, k))
-
-
 def pair_probability_matrix(
     samples: Iterable[tuple[Sequence[Receiver], Assignment]]
 ) -> np.ndarray:
@@ -167,14 +149,13 @@ def run_campaign(
     """Evaluate every strategy over ``trials`` independent populations.
 
     Trial t samples receivers with seed ``model.seed + t`` and perturbs with
-    seed ``cfg.seed + t``; trials containing an unschedulable receiver are
-    recorded as skipped, not silently dropped. Gains are fractions relative to
-    time sharing; the pair-probability matrix accumulates the quasi-optimal
-    groupings on SNR-sorted positions.
+    seed ``cfg.seed + t``, both modulo 2**64; trials containing an
+    unschedulable receiver are recorded as skipped, not silently dropped.
+    Gains are fractions relative to time sharing; the pair-probability matrix
+    accumulates the quasi-optimal groupings on SNR-sorted positions.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n = model.n_receivers
     skipped: list[SkippedTrial] = []
     gain_samples: dict[str, list[float]] = {
         STRATEGY_TIME_SHARING: [],
@@ -186,18 +167,17 @@ def run_campaign(
     failure_count = 0
     quasi_samples: list[tuple[list[Receiver], Assignment]] = []
     for t in range(trials):
-        receivers = sample_receivers(replace(model, seed=model.seed + t))
+        receivers = sample_receivers(replace(model, seed=(model.seed + t) % 2**64))
         try:
             cost = build_cost_matrix(receivers, table, rate_model)
         except UnschedulableReceiverError as exc:
             skipped.append(SkippedTrial(trial=t, reason=str(exc)))
             continue
-        report: MatchingReport = quasi_optimal_matching(
-            cost, replace(cfg, seed=cfg.seed + t), receivers=receivers
+        report = quasi_optimal_matching(
+            cost, replace(cfg, seed=(cfg.seed + t) % 2**64), receivers=receivers
         )
-        efficiency_ts = spectrum_efficiency(cost, time_sharing(n))
-        efficiency_ld = spectrum_efficiency(cost, largest_diff_matching(receivers))
-        assert report.symmetric_cost is not None and report.symmetric_assignment is not None
+        efficiency_ts = 1.0 / report.baselines["time_sharing"].cost
+        efficiency_ld = 1.0 / report.baselines["largest_diff"].cost
         efficiency_quasi = 1.0 / report.symmetric_cost
         efficiency_bound = 1.0 / report.upper_bound_cost
         gain_samples[STRATEGY_TIME_SHARING].append(0.0)
@@ -222,7 +202,7 @@ def run_campaign(
         for name, values in gain_samples.items()
     }
     return SimulationSummary(
-        n_receivers=n,
+        n_receivers=model.n_receivers,
         trials=trials,
         completed=completed,
         skipped=tuple(skipped),

@@ -20,13 +20,11 @@ from .hungarian import hungarian_solve, upper_bound_efficiency
 from .matching_core import (
     Assignment,
     Receiver,
-    assignment_cost,
     brute_force_optimal_permutation,
     brute_force_optimal_symmetric,
     build_cost_matrix,
     count_strategies,
     load_cost_csv,
-    spectrum_efficiency,
 )
 from .rate_model import (
     HierRateModel,
@@ -35,13 +33,7 @@ from .rate_model import (
     load_modcod_table,
     load_pair_rate_table,
 )
-from .strategies import (
-    PerturbConfig,
-    largest_diff_from_costs,
-    largest_diff_matching,
-    quasi_optimal_matching,
-    time_sharing,
-)
+from .strategies import Candidate, PerturbConfig, quasi_optimal_matching
 
 SCHEMA_VERSION = 1
 
@@ -139,24 +131,15 @@ def cmd_solve(args) -> int:
         cost = build_cost_matrix(receivers, _load_table(args), _build_rate_model(args))
     cfg = PerturbConfig(sigma=args.sigma, max_retries=args.max_retries, seed=args.seed)
     report = quasi_optimal_matching(cost, cfg, receivers=receivers)
-    assert report.symmetric_assignment is not None and report.symmetric_cost is not None
-
-    baseline_ts = time_sharing(cost.n)
-    if receivers is not None:
-        baseline_ld = largest_diff_matching(receivers)
-    else:
-        baseline_ld = largest_diff_from_costs(cost)
-    strategies = {}
-    for name, grouping in (
-        ("time_sharing", baseline_ts),
-        ("largest_diff", baseline_ld),
-        ("quasi_optimal", report.symmetric_assignment),
-    ):
-        strategies[name] = {
-            "cost": assignment_cost(cost, grouping),
-            "efficiency": spectrum_efficiency(cost, grouping),
-            "partner": _one_based(grouping),
+    shipped = Candidate(report.symmetric_assignment, report.symmetric_cost)
+    strategies = {
+        name: {
+            "cost": pick.cost,
+            "efficiency": 1.0 / pick.cost,
+            "partner": _one_based(pick.assignment),
         }
+        for name, pick in {**report.baselines, "quasi_optimal": shipped}.items()
+    }
     record = {
         "schema": SCHEMA_VERSION,
         "command": "solve",
@@ -219,7 +202,6 @@ def cmd_oracle(args) -> int:
     _, brute_inv_cost = brute_force_optimal_symmetric(cost)
     cfg = PerturbConfig(sigma=args.sigma, max_retries=args.max_retries, seed=args.seed)
     report = quasi_optimal_matching(cost, cfg)
-    assert report.symmetric_cost is not None
     tol = 1e-9
     checks = {
         "hungarian_matches_brute_permutation": abs(solution.cost - brute_perm_cost) <= tol,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching_core import CostMatrix, PermutationAssignment
+from .matching_core import CostMatrix, PermutationAssignment, as_cost_array
 
 __all__ = ["HungarianSolution", "hungarian_solve", "upper_bound_efficiency"]
 
@@ -29,25 +29,12 @@ class HungarianSolution:
     is_symmetric: bool
 
 
-def _as_cost_array(c) -> np.ndarray:
-    if isinstance(c, CostMatrix):
-        return c.values
-    values = np.asarray(c, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
-        raise ValueError(f"cost matrix must be square and non-empty, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("cost matrix entries must be finite")
-    if (values < 0.0).any():
-        raise ValueError("cost matrix entries must be non-negative")
-    return values
-
-
 def hungarian_solve(c) -> HungarianSolution:
     """Minimum-cost permutation of a square non-negative matrix.
 
     Accepts a CostMatrix or any array-like; symmetry is not assumed.
     """
-    cost = _as_cost_array(c)
+    cost = c.values if isinstance(c, CostMatrix) else as_cost_array(c)
     n = cost.shape[0]
     # col_row[j] = row matched to column j; index n is the virtual root column
     # that hosts the row currently being inserted. A value of n means free.

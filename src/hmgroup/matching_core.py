@@ -9,16 +9,14 @@ efficiency the grouping offers to every receiver.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .rate_model import HierRateModel, ModcodTable, pair_rate_matrix, single_rate
+from .rate_model import HierRateModel, ModcodTable, _open_source, pair_rate_matrix, single_rate
 
 __all__ = [
     "Receiver",
@@ -34,9 +32,6 @@ __all__ = [
     "brute_force_optimal_symmetric",
     "brute_force_optimal_permutation",
     "load_cost_csv",
-    "dump_cost_csv",
-    "assignment_to_json",
-    "assignment_from_json",
 ]
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -131,6 +126,18 @@ class PermutationAssignment:
         return Assignment(self.sigma)
 
 
+def as_cost_array(values) -> np.ndarray:
+    """``values`` as a float64 array, checked square, non-empty, finite and non-negative."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
+        raise ValueError(f"cost matrix must be square and non-empty, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("cost matrix entries must be finite")
+    if (values < 0.0).any():
+        raise ValueError("cost matrix entries must be non-negative")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
     """Symmetric matrix of scheduling costs in symbol-time-per-bit units."""
@@ -139,15 +146,7 @@ class CostMatrix:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError(f"cost matrix must be square, got shape {values.shape}")
-        if values.shape[0] == 0:
-            raise ValueError("cost matrix must be at least 1x1")
-        if not np.isfinite(values).all():
-            raise ValueError("cost matrix entries must be finite")
-        if (values < 0.0).any():
-            raise ValueError("cost matrix entries must be non-negative")
+        values = as_cost_array(self.values)
         if not np.array_equal(values, values.T):
             raise ValueError("cost matrix must be symmetric")
         values = values.copy()
@@ -325,14 +324,8 @@ def brute_force_optimal_permutation(c: CostMatrix) -> tuple[PermutationAssignmen
 
 def load_cost_csv(source) -> CostMatrix:
     """Read a square cost matrix from CSV (one row per line, no header)."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    else:
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        rows = list(csv.reader(data.splitlines()))
+    with _open_source(source) as fh:
+        rows = list(csv.reader(fh))
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise ValueError("cost CSV is empty")
@@ -347,23 +340,3 @@ def load_cost_csv(source) -> CostMatrix:
             raise ValueError(f"row {i + 1}: {exc}") from None
     return CostMatrix(values)
 
-
-def dump_cost_csv(c: CostMatrix, dest) -> None:
-    """Write a cost matrix as square CSV (repr floats, round-trip safe)."""
-    text = "\n".join(",".join(repr(float(v)) for v in row) for row in c.values) + "\n"
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
-
-
-def assignment_to_json(x: Assignment) -> str:
-    """Serialize with 1-based indices, matching all user-facing output."""
-    return json.dumps({"partner": [j + 1 for j in x.partner]})
-
-
-def assignment_from_json(text: str) -> Assignment:
-    data = json.loads(text)
-    partner = data["partner"]
-    return Assignment(tuple(int(j) - 1 for j in partner))

@@ -28,7 +28,6 @@ __all__ = [
     "PairRateKind",
     "HierRateModel",
     "single_rate",
-    "hier_rate",
     "pair_rate_matrix",
     "load_modcod_table",
     "load_pair_rate_table",
@@ -147,12 +146,9 @@ class HierRateModel:
     """
 
     kind: PairRateKind = PairRateKind.SUPERPOSITION_CAPACITY
-    alpha_grid_tolerance: float = 1e-9
     pair_table: Mapping[tuple[float, float], float] | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha_grid_tolerance:
-            raise ValueError("alpha_grid_tolerance must be positive")
         if self.kind is PairRateKind.TABLE_DRIVEN and self.pair_table is None:
             raise ValueError("table_driven model requires a pair_table")
 
@@ -161,62 +157,25 @@ def _db_to_linear(snr_db):
     return 10.0 ** (np.asarray(snr_db, dtype=np.float64) / 10.0)
 
 
-def _balanced_superposition_rate(
-    s_weak: np.ndarray, s_strong: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Balanced two-layer rate for linear-SNR arrays (elementwise).
+def _balanced_superposition_rate(s_weak: np.ndarray, s_strong: np.ndarray) -> np.ndarray:
+    """Balanced two-layer rate for linear-SNR arrays (elementwise), in closed form.
 
-    The base-layer rate increases with the base-layer power fraction while the
-    refinement-layer rate decreases, so the max-min split is at their crossing;
-    bisect the power fraction until the bracket is narrower than ``tolerance``.
+    With refinement power share x = 1 - alpha, the base layer carries
+    log2(1 + (1 - x) s_w / (x s_w + 1)) and the refinement layer
+    log2(1 + x s_s). The first falls and the second rises with x, so the
+    max-min split is where they meet: the positive root of
+    s_w s_s x^2 + (s_w + s_s) x - s_w = 0, taken in its cancellation-free form.
     """
-    lo = np.zeros_like(s_weak)
-    hi = np.ones_like(s_weak)
-    steps = max(1, math.ceil(math.log2(1.0 / tolerance)))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        base = np.log2(1.0 + mid * s_weak / ((1.0 - mid) * s_weak + 1.0))
-        refinement = np.log2(1.0 + (1.0 - mid) * s_strong)
-        base_ahead = base >= refinement
-        hi = np.where(base_ahead, mid, hi)
-        lo = np.where(base_ahead, lo, mid)
-    mid = 0.5 * (lo + hi)
-    base = np.log2(1.0 + mid * s_weak / ((1.0 - mid) * s_weak + 1.0))
-    refinement = np.log2(1.0 + (1.0 - mid) * s_strong)
-    return np.minimum(base, refinement)
-
-
-def hier_rate(snr_i_db: float, snr_j_db: float, model: HierRateModel) -> float:
-    """Shared spectral efficiency of a hierarchically modulated pair.
-
-    Symmetric in its SNR arguments; both are required to be finite.
-    """
-    if not (math.isfinite(snr_i_db) and math.isfinite(snr_j_db)):
-        raise ValueError(
-            f"pair SNRs must be finite, got ({snr_i_db}, {snr_j_db})"
-        )
-    weak_db, strong_db = sorted((snr_i_db, snr_j_db))
-    if model.kind is PairRateKind.TABLE_DRIVEN:
-        assert model.pair_table is not None
-        try:
-            rate = model.pair_table[(weak_db, strong_db)]
-        except KeyError:
-            raise ValueError(
-                f"pair table has no rate for SNR pair ({weak_db}, {strong_db})"
-            ) from None
-        return float(rate)
-    out = _balanced_superposition_rate(
-        _db_to_linear(np.array([weak_db])),
-        _db_to_linear(np.array([strong_db])),
-        model.alpha_grid_tolerance,
-    )
-    return float(out[0])
+    total = s_weak + s_strong
+    x = 2.0 * s_weak / (total + np.sqrt(total * total + 4.0 * s_weak * s_weak * s_strong))
+    return np.log1p(x * s_strong) / math.log(2.0)
 
 
 def pair_rate_matrix(snrs_db: np.ndarray, model: HierRateModel) -> np.ndarray:
     """Symmetric n x n matrix of pair rates for every receiver pair.
 
-    The diagonal is left at 0 (a receiver is never paired with itself).
+    The diagonal is left at 0 (a receiver is never paired with itself). A
+    table-driven model must hold a rate for every SNR pair present.
     """
     snrs = np.asarray(snrs_db, dtype=np.float64)
     if snrs.ndim != 1:
@@ -229,16 +188,17 @@ def pair_rate_matrix(snrs_db: np.ndarray, model: HierRateModel) -> np.ndarray:
     if iu.size == 0:
         return out
     if model.kind is PairRateKind.TABLE_DRIVEN:
-        rates = np.array(
-            [hier_rate(snrs[i], snrs[j], model) for i, j in zip(iu, ju)]
-        )
+        weak, strong = np.minimum(snrs[iu], snrs[ju]), np.maximum(snrs[iu], snrs[ju])
+        try:
+            rates = np.array(
+                [model.pair_table[pair] for pair in zip(weak.tolist(), strong.tolist())],
+                dtype=np.float64,
+            )
+        except KeyError as exc:
+            raise ValueError(f"pair table has no rate for SNR pair {exc.args[0]}") from None
     else:
         s = _db_to_linear(snrs)
-        rates = _balanced_superposition_rate(
-            np.minimum(s[iu], s[ju]),
-            np.maximum(s[iu], s[ju]),
-            model.alpha_grid_tolerance,
-        )
+        rates = _balanced_superposition_rate(np.minimum(s[iu], s[ju]), np.maximum(s[iu], s[ju]))
     out[iu, ju] = rates
     out[ju, iu] = rates
     return out

@@ -9,9 +9,7 @@ grouping is always returned even when every perturbation attempt fails.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -21,9 +19,11 @@ from .matching_core import Assignment, CostMatrix, Receiver, assignment_cost
 
 __all__ = [
     "PerturbConfig",
+    "Candidate",
     "MatchingReport",
     "perturb",
     "time_sharing",
+    "snr_sorted_order",
     "largest_diff_matching",
     "largest_diff_from_costs",
     "quasi_optimal_matching",
@@ -46,20 +46,13 @@ class PerturbConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
-    @classmethod
-    def from_json(cls, source) -> "PerturbConfig":
-        """Load from JSON like {"sigma": 1e-3, "max_retries": 50, "seed": 7}."""
-        if isinstance(source, (str, Path)) and Path(source).exists():
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
-        elif isinstance(source, str):
-            data = json.loads(source)
-        else:
-            data = json.load(source)
-        known = {"sigma", "max_retries", "seed"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown PerturbConfig fields: {sorted(unknown)}")
-        return cls(**data)
+
+@dataclass(frozen=True)
+class Candidate:
+    """A grouping together with its cost on the matrix it was evaluated on."""
+
+    assignment: Assignment
+    cost: float
 
 
 @dataclass(frozen=True)
@@ -70,14 +63,17 @@ class MatchingReport:
     grouping can undercut. ``success`` records whether a perturbation attempt
     (or the unperturbed solve itself) produced a self-inverse solution; the
     best grouping is reported either way, falling back to the baselines.
+    ``baselines`` holds the ``time_sharing`` and ``largest_diff`` groupings
+    with their costs, evaluated once here for every caller.
     """
 
     upper_bound_cost: float
-    symmetric_assignment: Assignment | None
-    symmetric_cost: float | None
-    gap_fraction: float | None
+    symmetric_assignment: Assignment
+    symmetric_cost: float
+    gap_fraction: float
     retries_used: int
     success: bool
+    baselines: dict[str, Candidate]
 
 
 def perturb(c: CostMatrix, sigma: float, seed: int) -> CostMatrix:
@@ -118,6 +114,16 @@ def _pair_extremes(order: Sequence[int]) -> Assignment:
     return Assignment(tuple(partner))
 
 
+def _ascending_order(keys) -> list[int]:
+    # Positions sorted by ascending key; equal keys keep position order.
+    return np.argsort(np.asarray(keys, dtype=np.float64), kind="stable").tolist()
+
+
+def snr_sorted_order(receivers: Sequence[Receiver]) -> list[int]:
+    """Positions sorted by ascending SNR, ties by original position."""
+    return _ascending_order([r.snr_db for r in receivers])
+
+
 def largest_diff_matching(receivers: Sequence[Receiver]) -> Assignment:
     """Pair the weakest receiver with the strongest, second weakest with
     second strongest, and so on; with an odd count the median stays single.
@@ -127,8 +133,7 @@ def largest_diff_matching(receivers: Sequence[Receiver]) -> Assignment:
     """
     if not receivers:
         raise ValueError("at least one receiver required")
-    order = sorted(range(len(receivers)), key=lambda k: (receivers[k].snr_db, k))
-    return _pair_extremes(order)
+    return _pair_extremes(snr_sorted_order(receivers))
 
 
 def largest_diff_from_costs(c: CostMatrix) -> Assignment:
@@ -138,8 +143,22 @@ def largest_diff_from_costs(c: CostMatrix) -> Assignment:
     ascending rate: the closest available stand-in for SNR order. Equal
     diagonal entries keep position order.
     """
-    order = sorted(range(c.n), key=lambda k: (-c.values[k, k], k))
-    return _pair_extremes(order)
+    return _pair_extremes(_ascending_order(-np.diag(c.values)))
+
+
+def _baselines(c: CostMatrix, receivers: Sequence[Receiver] | None) -> dict[str, Candidate]:
+    # The extreme-SNR baseline uses true SNR order when receivers are known,
+    # otherwise the rate order implied by the diagonal.
+    if receivers is None:
+        largest_diff = largest_diff_from_costs(c)
+    elif len(receivers) != c.n:
+        raise ValueError(f"got {len(receivers)} receivers for a {c.n}x{c.n} matrix")
+    else:
+        largest_diff = largest_diff_matching(receivers)
+    return {
+        name: Candidate(grouping, assignment_cost(c, grouping))
+        for name, grouping in (("time_sharing", time_sharing(c.n)), ("largest_diff", largest_diff))
+    }
 
 
 def quasi_optimal_matching(
@@ -155,39 +174,26 @@ def quasi_optimal_matching(
     returned immediately. Otherwise up to ``cfg.max_retries`` perturbed copies
     (seeded ``cfg.seed + attempt``) are solved until one yields a self-inverse
     permutation, which is evaluated on the original matrix. The result is the
-    cheapest of that candidate and the two baselines; when ``receivers`` is
-    given the extreme-SNR baseline uses true SNR order, otherwise the rate
-    order implied by the diagonal.
+    cheapest of that candidate and the two baselines (see ``_baselines``).
     """
+    baselines = _baselines(c, receivers)
     base = hungarian_solve(c)
     if base.cost <= 0.0:
         raise ValueError(
             "optimal assignment cost is zero; scheduling costs must be positive"
         )
     if base.is_symmetric:
-        grouping = base.permutation.to_assignment()
         return MatchingReport(
             upper_bound_cost=base.cost,
-            symmetric_assignment=grouping,
+            symmetric_assignment=base.permutation.to_assignment(),
             symmetric_cost=base.cost,
             gap_fraction=0.0,
             retries_used=0,
             success=True,
+            baselines=baselines,
         )
 
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-
-    def add_candidate(grouping: Assignment) -> None:
-        candidates.append((assignment_cost(c, grouping), grouping.partner))
-
-    add_candidate(time_sharing(c.n))
-    if receivers is not None:
-        if len(receivers) != c.n:
-            raise ValueError(f"got {len(receivers)} receivers for a {c.n}x{c.n} matrix")
-        add_candidate(largest_diff_matching(receivers))
-    else:
-        add_candidate(largest_diff_from_costs(c))
-
+    candidates = [(b.cost, b.assignment.partner) for b in baselines.values()]
     retries_used = 0
     success = False
     for attempt in range(cfg.max_retries):
@@ -196,7 +202,8 @@ def quasi_optimal_matching(
         solution = hungarian_solve(perturbed)
         if solution.is_symmetric:
             success = True
-            add_candidate(solution.permutation.to_assignment())
+            grouping = solution.permutation.to_assignment()
+            candidates.append((assignment_cost(c, grouping), grouping.partner))
             break
 
     best_cost, best_partner = min(candidates)
@@ -207,4 +214,5 @@ def quasi_optimal_matching(
         gap_fraction=best_cost / base.cost - 1.0,
         retries_used=retries_used,
         success=success,
+        baselines=baselines,
     )

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hmgroup import channel_sim
 from hmgroup.channel_sim import (
     STRATEGY_LARGEST_DIFF,
     STRATEGY_QUASI_OPTIMAL,
@@ -14,7 +15,6 @@ from hmgroup.channel_sim import (
     pair_probability_matrix,
     run_campaign,
     sample_receivers,
-    snr_sorted_order,
     summary_to_json_dict,
     write_pair_probability_csv,
 )
@@ -29,6 +29,7 @@ from hmgroup.strategies import (
     PerturbConfig,
     largest_diff_matching,
     quasi_optimal_matching,
+    snr_sorted_order,
     time_sharing,
 )
 
@@ -163,6 +164,21 @@ class TestRunCampaign:
         assert matrix.shape == (12, 12)
         assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
         assert np.array_equal(matrix, matrix.T)
+
+    def test_trial_seeds_wrap_at_two_to_the_64(self, table, capacity_model, monkeypatch):
+        drawn = []
+
+        def recording_sample(model):
+            receivers = sample_receivers(model)
+            drawn.append(receivers)
+            return receivers
+
+        monkeypatch.setattr(channel_sim, "sample_receivers", recording_sample)
+        top = 2**64 - 1
+        model = BeamModel(snr_max_db=12.0, n_receivers=4, seed=top)
+        summary = run_campaign(model, 2, PerturbConfig(seed=top), table, capacity_model)
+        assert summary.completed == 2
+        assert drawn[1] == sample_receivers(replace(model, seed=0))
 
     def test_all_trials_skipped_raises(self, table, capacity_model):
         model = BeamModel(snr_max_db=-20.0, n_receivers=4, seed=0)

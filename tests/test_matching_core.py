@@ -1,7 +1,6 @@
 """Tests for assignments, cost matrices, the objective, and the brute-force oracles."""
 
 import io
-import json
 import math
 
 import numpy as np
@@ -17,18 +16,16 @@ from hmgroup.matching_core import (
     Receiver,
     UnschedulableReceiverError,
     assignment_cost,
-    assignment_from_json,
-    assignment_to_json,
     brute_force_optimal_permutation,
     brute_force_optimal_symmetric,
     build_cost_matrix,
     count_strategies,
-    dump_cost_csv,
     enumerate_involutions,
     load_cost_csv,
     spectrum_efficiency,
 )
-from hmgroup.rate_model import HierRateModel, PairRateKind, hier_rate, single_rate
+from hmgroup.channel_sim import write_pair_probability_csv
+from hmgroup.rate_model import HierRateModel, PairRateKind, pair_rate_matrix, single_rate
 
 from conftest import random_symmetric_cost
 
@@ -113,7 +110,8 @@ class TestBuildCostMatrix:
             assert cost.values[i, i] == 1.0 / single_rate(ri.snr_db, table)
             for j, rj in enumerate(receivers):
                 if i != j:
-                    expected = 1.0 / (2.0 * hier_rate(ri.snr_db, rj.snr_db, capacity_model))
+                    pair = pair_rate_matrix(np.array([ri.snr_db, rj.snr_db]), capacity_model)
+                    expected = 1.0 / (2.0 * pair[0, 1])
                     assert cost.values[i, j] == pytest.approx(expected, abs=1e-9)
 
     def test_zero_rate_receiver_rejected_by_name(self, table, capacity_model):
@@ -306,7 +304,7 @@ class TestObjectiveIdentity:
 class TestSerialization:
     def test_cost_csv_round_trip(self, counterexample, tmp_path):
         path = tmp_path / "cost.csv"
-        dump_cost_csv(counterexample, path)
+        write_pair_probability_csv(counterexample.values, path)
         again = load_cost_csv(path)
         assert np.array_equal(again.values, counterexample.values)
 
@@ -325,9 +323,3 @@ class TestSerialization:
     def test_asymmetric_csv_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             load_cost_csv(io.StringIO("1.0,2.0\n3.0,1.0\n"))
-
-    def test_assignment_json_round_trip_is_one_based(self):
-        a = Assignment((2, 1, 0))
-        text = assignment_to_json(a)
-        assert json.loads(text) == {"partner": [3, 2, 1]}
-        assert assignment_from_json(text) == a

@@ -14,7 +14,6 @@ from hmgroup.rate_model import (
     ModcodParseError,
     ModcodTable,
     PairRateKind,
-    hier_rate,
     load_modcod_table,
     load_pair_rate_table,
     pair_rate_matrix,
@@ -22,6 +21,11 @@ from hmgroup.rate_model import (
 )
 
 snr_values = st.floats(min_value=-15.0, max_value=35.0, allow_nan=False)
+
+
+def pair_rate(snr_i_db: float, snr_j_db: float, model: HierRateModel) -> float:
+    """The rate of one pair, read off a two-receiver ``pair_rate_matrix``."""
+    return float(pair_rate_matrix(np.array([snr_i_db, snr_j_db]), model)[0, 1])
 
 
 def make_csv(rows: list[str]) -> bytes:
@@ -136,42 +140,55 @@ class TestSingleRate:
 
 class TestHierRate:
     def test_symmetric_exactly(self, capacity_model):
-        assert hier_rate(3.0, 17.0, capacity_model) == hier_rate(17.0, 3.0, capacity_model)
+        assert pair_rate(3.0, 17.0, capacity_model) == pair_rate(17.0, 3.0, capacity_model)
 
     @given(a=snr_values, b=snr_values)
     @settings(max_examples=40)
     def test_symmetry_and_capacity_bound(self, capacity_model, a, b):
-        rate = hier_rate(a, b, capacity_model)
-        assert rate == hier_rate(b, a, capacity_model)
+        rate = pair_rate(a, b, capacity_model)
+        assert rate == pair_rate(b, a, capacity_model)
         strongest = 10 ** (max(a, b) / 10)
         assert 0.0 < rate < math.log2(1.0 + strongest)
 
     def test_equal_snrs_match_dense_grid_scan(self, capacity_model):
         snr_linear = 10.0
-        rate = hier_rate(10.0, 10.0, capacity_model)
+        rate = pair_rate(10.0, 10.0, capacity_model)
         alphas = np.linspace(0.0, 1.0, 10**6)
         base = np.log2(1.0 + alphas * snr_linear / ((1.0 - alphas) * snr_linear + 1.0))
         refinement = np.log2(1.0 + (1.0 - alphas) * snr_linear)
         grid_best = float(np.minimum(base, refinement).max())
         assert rate == pytest.approx(grid_best, abs=1e-4)
 
+    def test_split_balances_both_layers(self, capacity_model):
+        # Every pair from -20 to 40 dB in 5 dB steps, equal pairs included.
+        # The rate fixes the refinement share x through R = log2(1 + x s_strong);
+        # the base layer, log2(1 + s_weak) - log2(1 + x s_weak), must carry
+        # the same rate at that split.
+        snrs = np.repeat(np.arange(-20.0, 45.0, 5.0), 2)
+        rates = pair_rate_matrix(snrs, capacity_model)
+        linear = 10.0 ** (snrs / 10.0)
+        for i in range(len(snrs)):
+            for j in range(i + 1, len(snrs)):
+                s_weak, s_strong = sorted((linear[i], linear[j]))
+                rate = rates[i, j]
+                x = math.expm1(rate * math.log(2.0)) / s_strong
+                base = (math.log1p(s_weak) - math.log1p(x * s_weak)) / math.log(2.0)
+                assert base == pytest.approx(rate, rel=1e-12, abs=0.0)
+
     def test_equal_snrs_lose_to_single_layer(self, capacity_model):
         for snr_db in (0.0, 5.0, 10.0, 20.0):
             capacity = math.log2(1.0 + 10 ** (snr_db / 10))
-            assert hier_rate(snr_db, snr_db, capacity_model) < capacity
+            assert pair_rate(snr_db, snr_db, capacity_model) < capacity
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_snr_rejected(self, capacity_model, bad):
         with pytest.raises(ValueError, match="finite"):
-            hier_rate(bad, 10.0, capacity_model)
+            pair_rate(bad, 10.0, capacity_model)
         with pytest.raises(ValueError, match="finite"):
-            hier_rate(10.0, bad, capacity_model)
-
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            HierRateModel(alpha_grid_tolerance=0.0)
+            pair_rate(10.0, bad, capacity_model)
 
     def test_matrix_matches_scalar_recomputation(self, capacity_model):
+        # every entry of a 7-receiver matrix equals its pair solved on its own
         rng = np.random.default_rng(11)
         snrs = rng.uniform(-5.0, 20.0, size=7)
         matrix = pair_rate_matrix(snrs, capacity_model)
@@ -180,7 +197,7 @@ class TestHierRate:
             assert matrix[i, i] == 0.0
             for j in range(i + 1, 7):
                 assert matrix[i, j] == pytest.approx(
-                    hier_rate(snrs[i], snrs[j], capacity_model), abs=1e-9
+                    pair_rate(snrs[i], snrs[j], capacity_model), rel=1e-12
                 )
 
 
@@ -191,12 +208,13 @@ class TestTableDrivenModel:
 
     def test_lookup_is_order_insensitive(self):
         model = self.make_model()
-        assert hier_rate(17.0, 3.0, model) == 1.5
-        assert hier_rate(3.0, 17.0, model) == 1.5
+        assert pair_rate(17.0, 3.0, model) == 1.5
+        assert pair_rate(3.0, 17.0, model) == 1.5
+        assert pair_rate(5.0, 5.0, model) == 0.9
 
     def test_missing_pair_is_input_error(self):
-        with pytest.raises(ValueError, match="no rate"):
-            hier_rate(1.0, 2.0, self.make_model())
+        with pytest.raises(ValueError, match=r"no rate for SNR pair \(1.0, 2.0\)"):
+            pair_rate(2.0, 1.0, self.make_model())
 
     def test_requires_table(self):
         with pytest.raises(ValueError, match="pair_table"):
