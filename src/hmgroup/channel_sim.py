@@ -10,7 +10,7 @@ it and only orderings and structural statistics are contractual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -131,8 +131,8 @@ def pair_probability_matrix(
             raise ValueError("all samples must have the same receiver count")
         rank = np.empty(n, dtype=np.intp)
         rank[np.array(snr_sorted_order(receivers))] = np.arange(n)
-        for i, j in enumerate(grouping.partner):
-            counts[rank[i], rank[j]] += 1.0
+        # one entry per row, so the indexed add never repeats an index pair
+        counts[rank, rank[np.array(grouping.partner)]] += 1.0
         trials += 1
     if counts is None:
         raise ValueError("at least one sample required")
@@ -157,12 +157,7 @@ def run_campaign(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     skipped: list[SkippedTrial] = []
-    gain_samples: dict[str, list[float]] = {
-        STRATEGY_TIME_SHARING: [],
-        STRATEGY_LARGEST_DIFF: [],
-        STRATEGY_QUASI_OPTIMAL: [],
-        STRATEGY_UPPER_BOUND: [],
-    }
+    gain_samples: dict[str, list[float]] = {}
     success_count = 0
     failure_count = 0
     quasi_samples: list[tuple[list[Receiver], Assignment]] = []
@@ -176,14 +171,15 @@ def run_campaign(
         report = quasi_optimal_matching(
             cost, replace(cfg, seed=(cfg.seed + t) % 2**64), receivers=receivers
         )
-        efficiency_ts = 1.0 / report.baselines["time_sharing"].cost
-        efficiency_ld = 1.0 / report.baselines["largest_diff"].cost
-        efficiency_quasi = 1.0 / report.symmetric_cost
-        efficiency_bound = 1.0 / report.upper_bound_cost
-        gain_samples[STRATEGY_TIME_SHARING].append(0.0)
-        gain_samples[STRATEGY_LARGEST_DIFF].append(efficiency_ld / efficiency_ts - 1.0)
-        gain_samples[STRATEGY_QUASI_OPTIMAL].append(efficiency_quasi / efficiency_ts - 1.0)
-        gain_samples[STRATEGY_UPPER_BOUND].append(efficiency_bound / efficiency_ts - 1.0)
+        efficiency = {
+            STRATEGY_TIME_SHARING: 1.0 / report.baselines[STRATEGY_TIME_SHARING].cost,
+            STRATEGY_LARGEST_DIFF: 1.0 / report.baselines[STRATEGY_LARGEST_DIFF].cost,
+            STRATEGY_QUASI_OPTIMAL: 1.0 / report.symmetric_cost,
+            STRATEGY_UPPER_BOUND: 1.0 / report.upper_bound_cost,
+        }
+        for name, value in efficiency.items():
+            gain = value / efficiency[STRATEGY_TIME_SHARING] - 1.0
+            gain_samples.setdefault(name, []).append(gain)
         if report.success:
             success_count += 1
         else:
@@ -214,20 +210,10 @@ def run_campaign(
 
 
 def summary_to_json_dict(summary: SimulationSummary) -> dict:
-    """JSON-ready dict; the pair-probability matrix is emitted as nested lists."""
-    return {
-        "n_receivers": summary.n_receivers,
-        "trials": summary.trials,
-        "completed": summary.completed,
-        "skipped": [{"trial": s.trial, "reason": s.reason} for s in summary.skipped],
-        "gains": {
-            name: {"mean": st.mean, "min": st.min, "max": st.max}
-            for name, st in summary.gains.items()
-        },
-        "success_count": summary.success_count,
-        "failure_count": summary.failure_count,
-        "pair_probability": [[float(x) for x in row] for row in summary.pair_probability],
-    }
+    """JSON-ready dict of every field; the pair-probability matrix becomes nested lists."""
+    body = asdict(summary)
+    body["pair_probability"] = summary.pair_probability.tolist()
+    return body
 
 
 def write_pair_probability_csv(matrix: np.ndarray, dest) -> None:

@@ -9,14 +9,13 @@ attempt produced a self-inverse solution, 2 on any input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .channel_sim import BeamModel, run_campaign, summary_to_json_dict, write_pair_probability_csv
-from .hungarian import hungarian_solve, upper_bound_efficiency
 from .matching_core import (
     Assignment,
     Receiver,
@@ -28,7 +27,8 @@ from .matching_core import (
 )
 from .rate_model import (
     HierRateModel,
-    PairRateKind,
+    ModcodParseError,
+    _csv_rows,
     default_modcod_table,
     load_modcod_table,
     load_pair_rate_table,
@@ -44,33 +44,17 @@ EXIT_INPUT_ERROR = 2
 
 def load_snr_csv(path) -> list[Receiver]:
     """Read receivers from CSV with header ``receiver_id,snr_db``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    receivers: list[Receiver] = []
+    seen: set[int] = set()
+    for row_no, row in _csv_rows(path, "SNR file", ["receiver_id", "snr_db"], 2):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty SNR file") from None
-        if [h.strip() for h in header] != ["receiver_id", "snr_db"]:
-            raise ValueError(
-                f"expected header 'receiver_id,snr_db', got {','.join(header)!r}"
-            )
-        receivers: list[Receiver] = []
-        seen: set[int] = set()
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"row {row_no}: expected 2 fields, got {len(row)}")
-            try:
-                receiver = Receiver(index=int(row[0]), snr_db=float(row[1]))
-            except ValueError as exc:
-                raise ValueError(f"row {row_no}: {exc}") from None
-            if receiver.index in seen:
-                raise ValueError(f"row {row_no}: duplicate receiver_id {receiver.index}")
-            seen.add(receiver.index)
-            receivers.append(receiver)
-    if not receivers:
-        raise ValueError("SNR file contains no data rows")
+            receiver = Receiver(index=int(row[0]), snr_db=float(row[1]))
+        except ValueError as exc:
+            raise ModcodParseError(str(exc), row=row_no) from None
+        if receiver.index in seen:
+            raise ModcodParseError(f"duplicate receiver_id {receiver.index}", row=row_no)
+        seen.add(receiver.index)
+        receivers.append(receiver)
     return receivers
 
 
@@ -78,9 +62,7 @@ def _build_rate_model(args) -> HierRateModel:
     if args.pair_model == "table":
         if args.pair_table is None:
             raise ValueError("--pair-model table requires --pair-table")
-        return HierRateModel(
-            kind=PairRateKind.TABLE_DRIVEN, pair_table=load_pair_rate_table(args.pair_table)
-        )
+        return HierRateModel(pair_table=load_pair_rate_table(args.pair_table))
     if args.pair_table is not None:
         raise ValueError("--pair-table is only valid with --pair-model table")
     return HierRateModel()
@@ -173,14 +155,8 @@ def cmd_simulate(args) -> int:
     record = {
         "schema": SCHEMA_VERSION,
         "command": "simulate",
-        "model": {
-            "snr_max_db": model.snr_max_db,
-            "edge_loss_db": model.edge_loss_db,
-            "weather_mean_db": model.weather_mean_db,
-            "n_receivers": model.n_receivers,
-            "seed": model.seed,
-        },
-        "perturb": {"sigma": cfg.sigma, "max_retries": cfg.max_retries, "seed": cfg.seed},
+        "model": asdict(model),
+        "perturb": asdict(cfg),
         "summary": body,
     }
     if args.out is None:
@@ -197,27 +173,27 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     cost = load_cost_csv(args.cost_csv)
-    solution = hungarian_solve(cost)
     _, brute_perm_cost = brute_force_optimal_permutation(cost)
     _, brute_inv_cost = brute_force_optimal_symmetric(cost)
     cfg = PerturbConfig(sigma=args.sigma, max_retries=args.max_retries, seed=args.seed)
     report = quasi_optimal_matching(cost, cfg)
+    bound = report.upper_bound_cost
     tol = 1e-9
     checks = {
-        "hungarian_matches_brute_permutation": abs(solution.cost - brute_perm_cost) <= tol,
+        "hungarian_matches_brute_permutation": abs(bound - brute_perm_cost) <= tol,
         "involution_cost_at_least_permutation": brute_inv_cost >= brute_perm_cost - tol,
         "heuristic_at_least_involution_optimum": report.symmetric_cost >= brute_inv_cost - tol,
-        "heuristic_at_least_upper_bound": report.symmetric_cost >= solution.cost - tol,
+        "heuristic_at_least_upper_bound": report.symmetric_cost >= bound - tol,
     }
     record = {
         "schema": SCHEMA_VERSION,
         "command": "oracle",
         "n": cost.n,
-        "hungarian_cost": solution.cost,
+        "hungarian_cost": bound,
         "brute_permutation_cost": brute_perm_cost,
         "brute_involution_cost": brute_inv_cost,
         "heuristic_cost": report.symmetric_cost,
-        "upper_bound_efficiency": upper_bound_efficiency(solution),
+        "upper_bound_efficiency": 1.0 / bound,
         "checks": checks,
         "all_checks_pass": all(checks.values()),
     }

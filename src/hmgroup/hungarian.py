@@ -19,7 +19,7 @@ import numpy as np
 
 from .matching_core import CostMatrix, PermutationAssignment, as_cost_array
 
-__all__ = ["HungarianSolution", "hungarian_solve", "upper_bound_efficiency"]
+__all__ = ["HungarianSolution", "hungarian_solve"]
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,3 @@ def hungarian_solve(c) -> HungarianSolution:
     sigma = tuple(int(j) for j in row_col)
     permutation = PermutationAssignment(sigma)
     return HungarianSolution(permutation, total, permutation.is_involution)
-
-
-def upper_bound_efficiency(solution: HungarianSolution) -> float:
-    """Spectrum-efficiency bound: no grouping can beat the inverse optimum cost."""
-    if not solution.cost > 0.0:
-        raise ValueError(f"assignment cost must be positive, got {solution.cost}")
-    return 1.0 / solution.cost

@@ -8,7 +8,6 @@ efficiency the grouping offers to every receiver.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -16,7 +15,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .rate_model import HierRateModel, ModcodTable, _open_source, pair_rate_matrix, single_rate
+from .rate_model import (
+    HierRateModel, ModcodParseError, ModcodTable, _csv_rows, pair_rate_matrix, single_rate
+)
 
 __all__ = [
     "Receiver",
@@ -34,7 +35,7 @@ __all__ = [
     "load_cost_csv",
 ]
 
-DEFAULT_ENUMERATION_CAP = 12
+ENUMERATION_CAP = 12
 PERMUTATION_BRUTE_FORCE_CAP = 9
 
 
@@ -91,12 +92,6 @@ class Assignment:
 
     def singles(self) -> list[int]:
         return [i for i, j in enumerate(self.partner) if i == j]
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense symmetric permutation matrix (for statistics output)."""
-        x = np.zeros((self.n, self.n))
-        x[np.arange(self.n), np.array(self.partner)] = 1.0
-        return x
 
 
 @dataclass(frozen=True)
@@ -259,39 +254,28 @@ def _involutions(slots: list[int], partner: list[int]) -> Iterator[tuple[int, ..
         partner[j] = j
 
 
-def enumerate_involutions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Assignment]:
-    """Stream every grouping of n receivers exactly once.
-
-    Refuses n above ``cap`` (default 12): the number of involutions grows
-    super-exponentially, so raise the cap explicitly if you really mean it.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
+def _check_enumeration_cap(n: int) -> None:
+    if n > ENUMERATION_CAP:
         raise ValueError(
-            f"enumerating involutions for n = {n} exceeds the cap of {cap} "
-            f"({count_strategies(n)} assignments); pass cap={n} to allow it"
+            f"enumerating involutions for n = {n} exceeds the cap of {ENUMERATION_CAP} "
+            f"({count_strategies(n)} assignments)"
         )
 
-    def generate() -> Iterator[Assignment]:
-        for partner in _involutions(list(range(n)), list(range(n))):
-            yield Assignment(partner)
 
-    return generate()
+def enumerate_involutions(n: int) -> Iterator[Assignment]:
+    """Stream every grouping of n receivers exactly once; n is checked eagerly (1..12)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_enumeration_cap(n)
+    return (Assignment(partner) for partner in _involutions(list(range(n)), list(range(n))))
 
 
-def brute_force_optimal_symmetric(
-    c: CostMatrix, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[Assignment, float]:
-    """Exact minimum-cost grouping by exhaustive scan of all involutions.
+def brute_force_optimal_symmetric(c: CostMatrix) -> tuple[Assignment, float]:
+    """Exact minimum-cost grouping by exhaustive scan of all involutions (n <= 12).
 
     Ties are broken toward the lexicographically smallest partner array.
     """
-    if c.n > cap:
-        raise ValueError(
-            f"enumerating involutions for n = {c.n} exceeds the cap of {cap} "
-            f"({count_strategies(c.n)} assignments); pass cap={c.n} to allow it"
-        )
+    _check_enumeration_cap(c.n)
     values = c.values
     rows = np.arange(c.n)
     best_partner: tuple[int, ...] | None = None
@@ -323,20 +307,16 @@ def brute_force_optimal_permutation(c: CostMatrix) -> tuple[PermutationAssignmen
 
 
 def load_cost_csv(source) -> CostMatrix:
-    """Read a square cost matrix from CSV (one row per line, no header)."""
-    with _open_source(source) as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError("cost CSV is empty")
+    """Read a square cost matrix from CSV (one row per line, no header, n rows)."""
+    rows = list(_csv_rows(source, "cost CSV"))
     n = len(rows)
     values = np.empty((n, n))
-    for i, row in enumerate(rows):
+    for i, (row_no, row) in enumerate(rows):
         if len(row) != n:
-            raise ValueError(f"row {i + 1}: expected {n} entries, got {len(row)}")
+            raise ModcodParseError(f"expected {n} entries, got {len(row)}", row=row_no)
         try:
             values[i] = [float(cell) for cell in row]
         except ValueError as exc:
-            raise ValueError(f"row {i + 1}: {exc}") from None
+            raise ModcodParseError(str(exc), row=row_no) from None
     return CostMatrix(values)
 

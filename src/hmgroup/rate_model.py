@@ -12,12 +12,11 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Iterator, Mapping
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "ModcodEntry",
     "ModcodTable",
     "ModcodParseError",
-    "PairRateKind",
     "HierRateModel",
     "single_rate",
     "pair_rate_matrix",
@@ -42,7 +40,7 @@ _PAIR_TABLE_HEADER = ["snr_i_db", "snr_j_db", "rate_bits_per_symbol"]
 
 
 class ModcodParseError(ValueError):
-    """A MODCOD or pair-rate CSV could not be parsed.
+    """An input CSV (MODCOD, pair-rate, SNR list or cost matrix) could not be parsed.
 
     ``row`` is the 1-based data row number when the failure is row-specific.
     """
@@ -128,29 +126,20 @@ def single_rate(snr_db: float, table: ModcodTable) -> float:
     return 0.0 if entry is None else entry.spectral_efficiency
 
 
-class PairRateKind(Enum):
-    SUPERPOSITION_CAPACITY = "superposition_capacity"
-    TABLE_DRIVEN = "table_driven"
-
-
 @dataclass(frozen=True)
 class HierRateModel:
     """How the shared rate of a receiver pair is computed.
 
-    The default computes the balanced two-layer superposition rate: split unit
-    transmit power between a base layer decoded by the weaker receiver
-    (treating the refinement layer as noise) and a refinement layer decoded by
-    the stronger receiver after cancelling the base layer, then pick the split
-    where both layers carry the same rate. ``TABLE_DRIVEN`` instead looks the
-    pair rate up from externally supplied values keyed by the SNR pair.
+    Without a ``pair_table`` (the default) this is the balanced two-layer
+    superposition rate: split unit transmit power between a base layer decoded
+    by the weaker receiver (treating the refinement layer as noise) and a
+    refinement layer decoded by the stronger receiver after cancelling the
+    base layer, then pick the split where both layers carry the same rate.
+    With a ``pair_table`` the pair rate is instead looked up from externally
+    supplied values keyed by the SNR pair, weaker first.
     """
 
-    kind: PairRateKind = PairRateKind.SUPERPOSITION_CAPACITY
     pair_table: Mapping[tuple[float, float], float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is PairRateKind.TABLE_DRIVEN and self.pair_table is None:
-            raise ValueError("table_driven model requires a pair_table")
 
 
 def _db_to_linear(snr_db):
@@ -175,7 +164,7 @@ def pair_rate_matrix(snrs_db: np.ndarray, model: HierRateModel) -> np.ndarray:
     """Symmetric n x n matrix of pair rates for every receiver pair.
 
     The diagonal is left at 0 (a receiver is never paired with itself). A
-    table-driven model must hold a rate for every SNR pair present.
+    model's ``pair_table`` must hold a rate for every SNR pair present.
     """
     snrs = np.asarray(snrs_db, dtype=np.float64)
     if snrs.ndim != 1:
@@ -187,7 +176,7 @@ def pair_rate_matrix(snrs_db: np.ndarray, model: HierRateModel) -> np.ndarray:
     iu, ju = np.triu_indices(n, k=1)
     if iu.size == 0:
         return out
-    if model.kind is PairRateKind.TABLE_DRIVEN:
+    if model.pair_table is not None:
         weak, strong = np.minimum(snrs[iu], snrs[ju]), np.maximum(snrs[iu], snrs[ju])
         try:
             rates = np.array(
@@ -225,6 +214,38 @@ def _open_source(source) -> IO[str]:
     raise TypeError(f"unsupported source type: {type(source)!r}")
 
 
+def _csv_rows(
+    source, what: str, header: list[str] | None = None, n_fields: int | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(data-row number, fields)`` for each non-blank row of a CSV source.
+
+    Checks ``header`` and ``n_fields`` when given. Rows are numbered from 1
+    after the header, blank rows included; ``what`` names the source in errors.
+    A source without data rows is rejected only once it is exhausted.
+    """
+    with _open_source(source) as fh:
+        reader = csv.reader(fh)
+        if header is not None:
+            try:
+                got = next(reader)
+            except StopIteration:
+                raise ModcodParseError(f"empty {what}") from None
+            if [h.strip() for h in got] != header:
+                raise ModcodParseError(
+                    f"expected header {','.join(header)!r}, got {','.join(got)!r}"
+                )
+        any_rows = False
+        for row_no, row in enumerate(reader, start=1):
+            if not any(cell.strip() for cell in row):
+                continue
+            if n_fields is not None and len(row) != n_fields:
+                raise ModcodParseError(f"expected {n_fields} fields, got {len(row)}", row=row_no)
+            any_rows = True
+            yield row_no, row
+    if not any_rows:
+        raise ModcodParseError(f"{what} contains no data rows")
+
+
 def load_modcod_table(source) -> ModcodTable:
     """Parse, validate and clean a MODCOD CSV.
 
@@ -233,41 +254,24 @@ def load_modcod_table(source) -> ModcodTable:
     threshold; duplicate operating points are rejected, rows made redundant by
     a cheaper-or-equal threshold with at least the same efficiency are dropped.
     """
-    with _open_source(source) as fh:
-        reader = csv.reader(fh)
+    entries: list[ModcodEntry] = []
+    seen: set[tuple[str, float]] = set()
+    for row_no, row in _csv_rows(source, "MODCOD file", _MODCOD_HEADER, 4):
+        name = row[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ModcodParseError("empty MODCOD file") from None
-        if [h.strip() for h in header] != _MODCOD_HEADER:
+            bits = int(row[1])
+            rate = _parse_code_rate(row[2])
+            threshold = float(row[3])
+            entry = ModcodEntry(name, bits, rate, threshold)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ModcodParseError(str(exc), row=row_no) from None
+        key = (name, rate)
+        if key in seen:
             raise ModcodParseError(
-                f"expected header {','.join(_MODCOD_HEADER)!r}, got {','.join(header)!r}"
+                f"duplicate (modulation, code_rate) = ({name}, {row[2].strip()})", row=row_no
             )
-        entries: list[ModcodEntry] = []
-        seen: set[tuple[str, float]] = set()
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise ModcodParseError(f"expected 4 fields, got {len(row)}", row=row_no)
-            name = row[0].strip()
-            try:
-                bits = int(row[1])
-                rate = _parse_code_rate(row[2])
-                threshold = float(row[3])
-                entry = ModcodEntry(name, bits, rate, threshold)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ModcodParseError(str(exc), row=row_no) from None
-            key = (name, rate)
-            if key in seen:
-                raise ModcodParseError(
-                    f"duplicate (modulation, code_rate) = ({name}, {row[2].strip()})",
-                    row=row_no,
-                )
-            seen.add(key)
-            entries.append(entry)
-    if not entries:
-        raise ModcodParseError("MODCOD file contains no data rows")
+        seen.add(key)
+        entries.append(entry)
     # remove dominated rows: scan by ascending threshold (best efficiency
     # first among equal thresholds) and keep only strict efficiency gains
     entries.sort(key=lambda e: (e.snr_threshold_db, -e.spectral_efficiency))
@@ -281,42 +285,26 @@ def load_modcod_table(source) -> ModcodTable:
 
 
 def load_pair_rate_table(source) -> dict[tuple[float, float], float]:
-    """Parse a pair-rate CSV into the lookup used by table-driven models.
+    """Parse a pair-rate CSV into the ``HierRateModel.pair_table`` lookup.
 
     Expected header: ``snr_i_db,snr_j_db,rate_bits_per_symbol``. Keys are
     stored with the SNR pair sorted, so lookups are order-insensitive; rates
     must be strictly positive.
     """
-    with _open_source(source) as fh:
-        reader = csv.reader(fh)
+    table: dict[tuple[float, float], float] = {}
+    for row_no, row in _csv_rows(source, "pair-rate file", _PAIR_TABLE_HEADER, 3):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ModcodParseError("empty pair-rate file") from None
-        if [h.strip() for h in header] != _PAIR_TABLE_HEADER:
-            raise ModcodParseError(
-                f"expected header {','.join(_PAIR_TABLE_HEADER)!r}, got {','.join(header)!r}"
-            )
-        table: dict[tuple[float, float], float] = {}
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ModcodParseError(f"expected 3 fields, got {len(row)}", row=row_no)
-            try:
-                snr_i, snr_j, rate = (float(cell) for cell in row)
-            except ValueError as exc:
-                raise ModcodParseError(str(exc), row=row_no) from None
-            if not (math.isfinite(snr_i) and math.isfinite(snr_j)):
-                raise ModcodParseError("pair SNRs must be finite", row=row_no)
-            if not rate > 0.0:
-                raise ModcodParseError(f"pair rate must be positive, got {rate}", row=row_no)
-            key = (min(snr_i, snr_j), max(snr_i, snr_j))
-            if key in table:
-                raise ModcodParseError(f"duplicate SNR pair {key}", row=row_no)
-            table[key] = rate
-    if not table:
-        raise ModcodParseError("pair-rate file contains no data rows")
+            snr_i, snr_j, rate = (float(cell) for cell in row)
+        except ValueError as exc:
+            raise ModcodParseError(str(exc), row=row_no) from None
+        if not (math.isfinite(snr_i) and math.isfinite(snr_j)):
+            raise ModcodParseError("pair SNRs must be finite", row=row_no)
+        if not rate > 0.0:
+            raise ModcodParseError(f"pair rate must be positive, got {rate}", row=row_no)
+        key = (min(snr_i, snr_j), max(snr_i, snr_j))
+        if key in table:
+            raise ModcodParseError(f"duplicate SNR pair {key}", row=row_no)
+        table[key] = rate
     return table
 
 

@@ -32,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PerturbConfig:
-    """Perturbation-loop knobs: noise scale, retry budget, base RNG seed."""
+    """Perturbation-loop knobs: noise scale, retry budget, RNG seed."""
 
     sigma: float = 1e-3
     max_retries: int = 50
@@ -76,12 +76,13 @@ class MatchingReport:
     baselines: dict[str, Candidate]
 
 
-def perturb(c: CostMatrix, sigma: float, seed: int) -> CostMatrix:
+def perturb(c: CostMatrix, sigma: float, seed: int | np.random.Generator) -> CostMatrix:
     """Symmetric Gaussian perturbation of a cost matrix.
 
     Upper-triangle entries (diagonal included) are drawn i.i.d. from
     N(0, sigma^2) and mirrored; entries pushed negative are clamped to zero so
-    the result stays solvable. The input matrix is not modified.
+    the result stays solvable. The input matrix is not modified. ``seed`` is
+    an integer seed or a ``Generator``, which the draw advances.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -172,9 +173,9 @@ def quasi_optimal_matching(
     Solves the unperturbed matrix first: that cost is the upper bound, and if
     the solution is already self-inverse it is optimal among groupings and
     returned immediately. Otherwise up to ``cfg.max_retries`` perturbed copies
-    (seeded ``cfg.seed + attempt``) are solved until one yields a self-inverse
-    permutation, which is evaluated on the original matrix. The result is the
-    cheapest of that candidate and the two baselines (see ``_baselines``).
+    (all drawn from one generator seeded ``cfg.seed``) are solved until one
+    yields a self-inverse permutation, evaluated on the original matrix. The
+    result is the cheapest of that candidate and the two baselines (see ``_baselines``).
     """
     baselines = _baselines(c, receivers)
     base = hungarian_solve(c)
@@ -196,9 +197,10 @@ def quasi_optimal_matching(
     candidates = [(b.cost, b.assignment.partner) for b in baselines.values()]
     retries_used = 0
     success = False
-    for attempt in range(cfg.max_retries):
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.max_retries):
         retries_used += 1
-        perturbed = perturb(c, cfg.sigma, cfg.seed + attempt)
+        perturbed = perturb(c, cfg.sigma, rng)
         solution = hungarian_solve(perturbed)
         if solution.is_symmetric:
             success = True

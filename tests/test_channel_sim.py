@@ -219,7 +219,7 @@ def test_diagonal_mass_grows_where_pairing_gains_vanish():
     # than half the single rate the optimal grouping is all singles (identity
     # structure, zero gain); when it delivers nearly the single rate the
     # grouping pairs everyone (empty diagonal, positive gain)
-    from hmgroup.rate_model import PairRateKind, single_rate
+    from hmgroup.rate_model import single_rate
 
     beam = BeamModel(snr_max_db=7.0, edge_loss_db=0.0, weather_mean_db=0.0,
                      n_receivers=6, seed=12)
@@ -227,10 +227,7 @@ def test_diagonal_mass_grows_where_pairing_gains_vanish():
     single = single_rate(7.0, table)
     summaries = {}
     for label, factor in (("vanishing", 0.4), ("strong", 0.9)):
-        model = HierRateModel(
-            kind=PairRateKind.TABLE_DRIVEN,
-            pair_table={(7.0, 7.0): factor * single},
-        )
+        model = HierRateModel(pair_table={(7.0, 7.0): factor * single})
         summaries[label] = run_campaign(beam, 5, PerturbConfig(seed=6), table, model)
     diag_mass = {k: float(np.trace(s.pair_probability)) for k, s in summaries.items()}
     assert diag_mass["vanishing"] == 6.0  # identity in every trial

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmgroup
 from hmgroup.cli import main
 
 from conftest import COUNTEREXAMPLE_3X3
@@ -219,9 +222,12 @@ class TestSimulate:
 
 
 def test_module_entry_point_runs():
+    # the child process imports the same package as this test, installed or not
+    paths = [str(Path(hmgroup.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-m", "hmgroup", "count", "4"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "10\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from hmgroup.hungarian import hungarian_solve, upper_bound_efficiency
+from hmgroup.hungarian import hungarian_solve
 from hmgroup.matching_core import (
     CostMatrix,
     assignment_cost,
@@ -25,9 +25,6 @@ class TestCounterexample:
         assert solution.permutation.sigma in {(2, 0, 1), (1, 2, 0)}
         assert hungarian_solve(counterexample).permutation == solution.permutation
 
-    def test_upper_bound_efficiency(self, counterexample):
-        assert upper_bound_efficiency(hungarian_solve(counterexample)) == 0.125
-
 
 class TestSmallFixtures:
     def test_diagonally_dominant_two_by_two(self):
@@ -39,12 +36,6 @@ class TestSmallFixtures:
     def test_single_entry(self):
         solution = hungarian_solve(np.array([[0.5]]))
         assert solution.cost == 0.5
-        assert upper_bound_efficiency(solution) == 2.0
-
-    def test_zero_cost_bound_rejected(self):
-        solution = hungarian_solve(np.array([[0.0]]))
-        with pytest.raises(ValueError, match="positive"):
-            upper_bound_efficiency(solution)
 
     def test_asymmetric_input_allowed(self):
         m = np.array([[1.0, 0.5, 9.0], [9.0, 9.0, 1.0], [9.0, 1.0, 9.0]])
@@ -107,7 +98,7 @@ class TestOptimality:
         rng = np.random.default_rng(103)
         for _ in range(15):
             c = random_symmetric_cost(rng, 6)
-            bound = upper_bound_efficiency(hungarian_solve(c))
+            bound = 1.0 / hungarian_solve(c).cost
             _, sym_cost = brute_force_optimal_symmetric(c)
             assert bound >= 1.0 / sym_cost - 1e-9
 

@@ -25,7 +25,7 @@ from hmgroup.matching_core import (
     spectrum_efficiency,
 )
 from hmgroup.channel_sim import write_pair_probability_csv
-from hmgroup.rate_model import HierRateModel, PairRateKind, pair_rate_matrix, single_rate
+from hmgroup.rate_model import HierRateModel, pair_rate_matrix, single_rate
 
 from conftest import random_symmetric_cost
 
@@ -48,13 +48,6 @@ class TestAssignmentTypes:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Assignment((0, 3))
-
-    def test_dense_matrix_is_symmetric_permutation(self):
-        a = Assignment((2, 1, 0))
-        x = a.to_matrix()
-        assert np.array_equal(x, x.T)
-        assert np.array_equal(x.sum(axis=0), np.ones(3))
-        assert np.array_equal(x.sum(axis=1), np.ones(3))
 
     def test_permutation_validation(self):
         with pytest.raises(ValueError, match="not a permutation"):
@@ -95,9 +88,7 @@ class TestBuildCostMatrix:
         assert cost.values[0, 0] == 0.5
 
     def test_off_diagonal_is_half_inverse_pair_rate(self, table):
-        model = HierRateModel(
-            kind=PairRateKind.TABLE_DRIVEN, pair_table={(5.0, 9.0): 2.0}
-        )
+        model = HierRateModel(pair_table={(5.0, 9.0): 2.0})
         receivers = [Receiver(1, 5.0), Receiver(2, 9.0)]
         cost = build_cost_matrix(receivers, table, model)
         assert cost.values[0, 1] == 0.25
@@ -217,11 +208,9 @@ class TestEnumerateInvolutions:
             seen.add(a.partner)
         assert len(seen) == count_strategies(n)
 
-    def test_cap_is_enforced_and_overridable(self):
+    def test_cap_is_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             enumerate_involutions(13)
-        stream = enumerate_involutions(13, cap=13)
-        assert next(stream).partner == tuple(range(13))
 
 
 class TestBruteForceSymmetric:

@@ -1,4 +1,4 @@
-"""Tests for MODCOD tables and the pair-rate models."""
+"""Tests for MODCOD tables, the pair-rate models and the shared CSV reader."""
 
 import io
 import math
@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmgroup.cli import load_snr_csv
+from hmgroup.matching_core import load_cost_csv
 from hmgroup.rate_model import (
     HierRateModel,
     ModcodEntry,
     ModcodParseError,
     ModcodTable,
-    PairRateKind,
     load_modcod_table,
     load_pair_rate_table,
     pair_rate_matrix,
@@ -204,7 +205,7 @@ class TestHierRate:
 class TestTableDrivenModel:
     def make_model(self):
         pairs = {(3.0, 17.0): 1.5, (5.0, 5.0): 0.9}
-        return HierRateModel(kind=PairRateKind.TABLE_DRIVEN, pair_table=pairs)
+        return HierRateModel(pair_table=pairs)
 
     def test_lookup_is_order_insensitive(self):
         model = self.make_model()
@@ -215,10 +216,6 @@ class TestTableDrivenModel:
     def test_missing_pair_is_input_error(self):
         with pytest.raises(ValueError, match=r"no rate for SNR pair \(1.0, 2.0\)"):
             pair_rate(2.0, 1.0, self.make_model())
-
-    def test_requires_table(self):
-        with pytest.raises(ValueError, match="pair_table"):
-            HierRateModel(kind=PairRateKind.TABLE_DRIVEN)
 
     def test_load_pair_rate_table(self):
         payload = b"snr_i_db,snr_j_db,rate_bits_per_symbol\n17.0,3.0,1.5\n5.0,5.0,0.9\n"
@@ -239,3 +236,50 @@ def test_direct_table_construction_validates_order():
     )
     with pytest.raises(ValueError, match="strictly increasing"):
         ModcodTable(entries)
+
+
+# Every CSV input goes through one reader. Per loader: its header (None when
+# the format has none), one valid data row, and a row it must reject.
+LOADERS = [
+    pytest.param(
+        load_modcod_table,
+        "modulation,bits_per_symbol,code_rate,snr_threshold_db",
+        "QPSK,2,1/2,1.0",
+        "QPSK,2,1/2",
+        id="modcod",
+    ),
+    pytest.param(
+        load_pair_rate_table,
+        "snr_i_db,snr_j_db,rate_bits_per_symbol",
+        "1.0,2.0,1.5",
+        "1.0,x,1.5",
+        id="pair-rate",
+    ),
+    pytest.param(load_snr_csv, "receiver_id,snr_db", "1,5.0", "2,x", id="snr"),
+    pytest.param(load_cost_csv, None, "1.0,2.0", "2.0", id="cost"),
+]
+
+
+def _csv_text(header: str | None, rows: list[str]) -> io.StringIO:
+    lines = ([] if header is None else [header]) + rows
+    return io.StringIO("".join(line + "\n" for line in lines))
+
+
+class TestSharedCsvReader:
+    @pytest.mark.parametrize("loader, header, good, bad", LOADERS)
+    def test_empty_or_blank_only_file_rejected(self, loader, header, good, bad):
+        with pytest.raises(ModcodParseError, match="empty|no data rows"):
+            loader(io.StringIO(""))
+        with pytest.raises(ModcodParseError, match="no data rows"):
+            loader(_csv_text(header, ["", " , ", ""]))
+
+    @pytest.mark.parametrize("loader, header, good, bad", LOADERS[:3])
+    def test_wrong_header_rejected(self, loader, header, good, bad):
+        with pytest.raises(ModcodParseError, match="expected header"):
+            loader(_csv_text(header.replace("_", "-"), [good]))
+
+    @pytest.mark.parametrize("loader, header, good, bad", LOADERS)
+    def test_bad_row_after_blank_reports_physical_row(self, loader, header, good, bad):
+        with pytest.raises(ModcodParseError, match="^row 3: ") as info:
+            loader(_csv_text(header, [good, "", bad]))
+        assert info.value.row == 3

@@ -156,6 +156,23 @@ class TestQuasiOptimalMatching:
         assert report.retries_used == cfg.max_retries
         assert report.symmetric_assignment.partner == (0, 2, 1)
 
+    def test_different_seeds_share_no_perturbation(self, counterexample, monkeypatch):
+        # every attempt of one search draws from one generator seeded once, so
+        # two seeds never replay each other's perturbed matrices
+        drawn: list[bytes] = []
+
+        def spy(c, sigma, seed):
+            out = perturb(c, sigma, seed)
+            drawn.append(out.values.tobytes())
+            return out
+
+        monkeypatch.setattr("hmgroup.strategies.perturb", spy)
+        for seed in (0, 1):
+            report = quasi_optimal_matching(counterexample, PerturbConfig(seed=seed, max_retries=3))
+            assert not report.success
+        assert len(drawn) == 6
+        assert not set(drawn[:3]) & set(drawn[3:])
+
     def test_already_symmetric_solution_short_circuits(self):
         c = CostMatrix(np.array([[1.0, 5.0], [5.0, 1.0]]))
         report = quasi_optimal_matching(c, PerturbConfig(seed=9))
