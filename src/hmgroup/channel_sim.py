@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -220,8 +219,5 @@ def write_pair_probability_csv(matrix: np.ndarray, dest) -> None:
     """Square CSV of the pair-probability matrix, for external heatmap plotting."""
     matrix = np.asarray(matrix)
     text = "\n".join(",".join(repr(float(x)) for x in row) for row in matrix) + "\n"
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
+    with open(dest, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -74,6 +74,10 @@ def _load_table(args):
     return default_modcod_table()
 
 
+def _perturb_config(args) -> PerturbConfig:
+    return PerturbConfig(**{f.name: getattr(args, f.name) for f in fields(PerturbConfig)})
+
+
 def _flatten(record: dict, prefix: str = "") -> list[tuple[str, str]]:
     rows: list[tuple[str, str]] = []
     for key, value in record.items():
@@ -111,8 +115,7 @@ def cmd_solve(args) -> int:
     else:
         receivers = load_snr_csv(args.snr_csv)
         cost = build_cost_matrix(receivers, _load_table(args), _build_rate_model(args))
-    cfg = PerturbConfig(sigma=args.sigma, max_retries=args.max_retries, seed=args.seed)
-    report = quasi_optimal_matching(cost, cfg, receivers=receivers)
+    report = quasi_optimal_matching(cost, _perturb_config(args), receivers=receivers)
     shipped = Candidate(report.symmetric_assignment, report.symmetric_cost)
     strategies = {
         name: {
@@ -148,7 +151,7 @@ def cmd_simulate(args) -> int:
         n_receivers=args.receivers,
         seed=args.seed,
     )
-    cfg = PerturbConfig(sigma=args.sigma, max_retries=args.max_retries, seed=args.seed)
+    cfg = _perturb_config(args)
     summary = run_campaign(model, args.trials, cfg, _load_table(args), _build_rate_model(args))
     body = summary_to_json_dict(summary)
     pair_probability = body.pop("pair_probability")
@@ -175,8 +178,7 @@ def cmd_oracle(args) -> int:
     cost = load_cost_csv(args.cost_csv)
     _, brute_perm_cost = brute_force_optimal_permutation(cost)
     _, brute_inv_cost = brute_force_optimal_symmetric(cost)
-    cfg = PerturbConfig(sigma=args.sigma, max_retries=args.max_retries, seed=args.seed)
-    report = quasi_optimal_matching(cost, cfg)
+    report = quasi_optimal_matching(cost, _perturb_config(args))
     bound = report.upper_bound_cost
     tol = 1e-9
     checks = {
@@ -218,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_perturb_flags(p):
-        p.add_argument("--sigma", type=float, default=1e-3, help="perturbation std dev")
-        p.add_argument("--max-retries", type=int, default=50, help="perturbation attempts")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        p.add_argument("--sigma", type=float, help="perturbation std dev")
+        p.add_argument("--max-retries", type=int, help="perturbation attempts")
+        p.add_argument("--seed", type=int, help="RNG seed")
+        p.set_defaults(**asdict(PerturbConfig()))
 
     def add_rate_flags(p):
         p.add_argument("--modcod", metavar="PATH", help="MODCOD CSV (default: bundled table)")

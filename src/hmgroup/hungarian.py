@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching_core import CostMatrix, PermutationAssignment, as_cost_array
+from .matching_core import CostMatrix, as_cost_array
 
 __all__ = ["HungarianSolution", "hungarian_solve"]
 
 
 @dataclass(frozen=True)
 class HungarianSolution:
-    permutation: PermutationAssignment
+    """``permutation[i]`` is row i's column (0-based); ``is_symmetric`` marks an involution."""
+
+    permutation: tuple[int, ...]
     cost: float
     is_symmetric: bool
 
@@ -71,6 +73,6 @@ def hungarian_solve(c) -> HungarianSolution:
     row_col = np.empty(n, dtype=np.intp)
     row_col[col_row[:n]] = np.arange(n)
     total = float(cost[np.arange(n), row_col].sum())
-    sigma = tuple(int(j) for j in row_col)
-    permutation = PermutationAssignment(sigma)
-    return HungarianSolution(permutation, total, permutation.is_involution)
+    permutation = tuple(int(j) for j in row_col)
+    is_symmetric = bool((row_col[row_col] == np.arange(n)).all())
+    return HungarianSolution(permutation, total, is_symmetric)

@@ -22,7 +22,6 @@ from .rate_model import (
 __all__ = [
     "Receiver",
     "Assignment",
-    "PermutationAssignment",
     "CostMatrix",
     "UnschedulableReceiverError",
     "build_cost_matrix",
@@ -51,8 +50,9 @@ class Receiver:
     snr_db: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.snr_db):
-            raise ValueError(f"receiver {self.index}: snr_db must not be NaN")
+        if not math.isfinite(self.snr_db):
+            bad = "NaN" if math.isnan(self.snr_db) else f"{self.snr_db} dB"
+            raise ValueError(f"receiver {self.index}: snr_db must not be {bad}")
 
 
 @dataclass(frozen=True)
@@ -92,33 +92,6 @@ class Assignment:
 
     def singles(self) -> list[int]:
         return [i for i, j in enumerate(self.partner) if i == j]
-
-
-@dataclass(frozen=True)
-class PermutationAssignment:
-    """An arbitrary (not necessarily self-inverse) permutation of {0..n-1}."""
-
-    sigma: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.sigma)
-        if n == 0:
-            raise ValueError("permutation must cover at least one receiver")
-        if sorted(self.sigma) != list(range(n)):
-            raise ValueError("sigma is not a permutation")
-
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def is_involution(self) -> bool:
-        return all(self.sigma[j] == i for i, j in enumerate(self.sigma))
-
-    def to_assignment(self) -> Assignment:
-        if not self.is_involution:
-            raise ValueError("permutation is not self-inverse")
-        return Assignment(self.sigma)
 
 
 def as_cost_array(values) -> np.ndarray:
@@ -172,11 +145,6 @@ def build_cost_matrix(
             )
         diag[pos] = 1.0 / rate
     snrs = np.array([r.snr_db for r in receivers])
-    if not np.isfinite(snrs).all():
-        bad = receivers[int(np.flatnonzero(~np.isfinite(snrs))[0])]
-        raise UnschedulableReceiverError(
-            f"receiver {bad.index} has non-finite SNR {bad.snr_db} dB and cannot be paired"
-        )
     values = np.zeros((n, n))
     np.fill_diagonal(values, diag)
     if n > 1:
@@ -195,20 +163,13 @@ def build_cost_matrix(
     return CostMatrix(values)
 
 
-def _partner_array(x: Assignment | PermutationAssignment) -> tuple[int, ...]:
-    if isinstance(x, Assignment):
-        return x.partner
-    if isinstance(x, PermutationAssignment):
-        return x.sigma
-    raise TypeError(f"expected Assignment or PermutationAssignment, got {type(x)!r}")
-
-
-def assignment_cost(c: CostMatrix, x: Assignment | PermutationAssignment) -> float:
+def assignment_cost(c: CostMatrix, x: Assignment) -> float:
     """Sum of the n selected matrix entries, one per row and column."""
-    targets = _partner_array(x)
-    if len(targets) != c.n:
-        raise ValueError(f"assignment covers {len(targets)} receivers, matrix has {c.n}")
-    return float(c.values[np.arange(c.n), np.array(targets)].sum())
+    if not isinstance(x, Assignment):
+        raise TypeError(f"expected an Assignment, got {type(x)!r}")
+    if x.n != c.n:
+        raise ValueError(f"assignment covers {x.n} receivers, matrix has {c.n}")
+    return float(c.values[np.arange(c.n), np.array(x.partner)].sum())
 
 
 def spectrum_efficiency(c: CostMatrix, x: Assignment) -> float:
@@ -217,8 +178,6 @@ def spectrum_efficiency(c: CostMatrix, x: Assignment) -> float:
     The reciprocal of the assignment cost: each pair contributes one inverse
     pair rate (two mirrored half entries) and each single one inverse rate.
     """
-    if not isinstance(x, Assignment):
-        raise TypeError("spectrum efficiency is defined for involutions only")
     return 1.0 / assignment_cost(c, x)
 
 
@@ -289,8 +248,8 @@ def brute_force_optimal_symmetric(c: CostMatrix) -> tuple[Assignment, float]:
     return Assignment(best_partner), best_cost
 
 
-def brute_force_optimal_permutation(c: CostMatrix) -> tuple[PermutationAssignment, float]:
-    """Exact minimum assignment cost over all n! permutations.
+def brute_force_optimal_permutation(c: CostMatrix) -> tuple[tuple[int, ...], float]:
+    """Exact minimum-cost permutation over all n!, as a 0-based tuple, and its cost.
 
     Test oracle for the polynomial solver; refuses n > 9. Ties are broken
     toward the lexicographically smallest permutation.
@@ -303,7 +262,7 @@ def brute_force_optimal_permutation(c: CostMatrix) -> tuple[PermutationAssignmen
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
     costs = c.values[np.arange(n)[None, :], perms].sum(axis=1)
     best = int(np.argmin(costs))  # first minimum = lexicographically smallest
-    return PermutationAssignment(tuple(int(j) for j in perms[best])), float(costs[best])
+    return tuple(int(j) for j in perms[best]), float(costs[best])
 
 
 def load_cost_csv(source) -> CostMatrix:

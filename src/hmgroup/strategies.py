@@ -172,10 +172,12 @@ def quasi_optimal_matching(
 
     Solves the unperturbed matrix first: that cost is the upper bound, and if
     the solution is already self-inverse it is optimal among groupings and
-    returned immediately. Otherwise up to ``cfg.max_retries`` perturbed copies
-    (all drawn from one generator seeded ``cfg.seed``) are solved until one
-    yields a self-inverse permutation, evaluated on the original matrix. The
-    result is the cheapest of that candidate and the two baselines (see ``_baselines``).
+    shipped. Otherwise up to ``cfg.max_retries`` perturbed copies (all drawn
+    from one generator seeded ``cfg.seed``) are solved until one yields a
+    self-inverse permutation, evaluated on the original matrix; the cheapest
+    of that hit and the two baselines (see ``_baselines``) is shipped, ties
+    going to the smaller partner array. A bound above the shipped cost by at
+    most 1e-12 relative is rounding and is lowered to it; a larger excess raises.
     """
     baselines = _baselines(c, receivers)
     base = hungarian_solve(c)
@@ -183,38 +185,28 @@ def quasi_optimal_matching(
         raise ValueError(
             "optimal assignment cost is zero; scheduling costs must be positive"
         )
-    if base.is_symmetric:
-        return MatchingReport(
-            upper_bound_cost=base.cost,
-            symmetric_assignment=base.permutation.to_assignment(),
-            symmetric_cost=base.cost,
-            gap_fraction=0.0,
-            retries_used=0,
-            success=True,
-            baselines=baselines,
-        )
-
-    candidates = [(b.cost, b.assignment.partner) for b in baselines.values()]
+    candidates = [] if base.is_symmetric else list(baselines.values())
+    solution = base
     retries_used = 0
-    success = False
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.max_retries):
+    while not solution.is_symmetric and retries_used < cfg.max_retries:
         retries_used += 1
-        perturbed = perturb(c, cfg.sigma, rng)
-        solution = hungarian_solve(perturbed)
-        if solution.is_symmetric:
-            success = True
-            grouping = solution.permutation.to_assignment()
-            candidates.append((assignment_cost(c, grouping), grouping.partner))
-            break
-
-    best_cost, best_partner = min(candidates)
+        solution = hungarian_solve(perturb(c, cfg.sigma, rng))
+    if solution.is_symmetric:
+        grouping = Assignment(solution.permutation)
+        candidates.append(Candidate(grouping, assignment_cost(c, grouping)))
+    best = min(candidates, key=lambda pick: (pick.cost, pick.assignment.partner))
+    if best.cost < base.cost * (1.0 - 1e-12):
+        raise RuntimeError(
+            f"grouping cost {best.cost!r} is below the assignment optimum {base.cost!r}"
+        )
+    bound = min(base.cost, best.cost)
     return MatchingReport(
-        upper_bound_cost=base.cost,
-        symmetric_assignment=Assignment(best_partner),
-        symmetric_cost=best_cost,
-        gap_fraction=best_cost / base.cost - 1.0,
+        upper_bound_cost=bound,
+        symmetric_assignment=best.assignment,
+        symmetric_cost=best.cost,
+        gap_fraction=best.cost / bound - 1.0,
         retries_used=retries_used,
-        success=success,
+        success=solution.is_symmetric,
         baselines=baselines,
     )

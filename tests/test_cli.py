@@ -100,6 +100,13 @@ class TestSolve:
         assert run_cli("solve", "--snr-csv", str(path)) == 2
         assert "row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["inf", "-inf", "nan"])
+    def test_non_finite_snr_row_rejected(self, tmp_path, capsys, snr):
+        path = tmp_path / "snrs.csv"
+        path.write_text(f"receiver_id,snr_db\n1,4.0\n2,{snr}\n3,7.0\n")
+        assert run_cli("solve", "--snr-csv", str(path)) == 2
+        assert "error: row 2: receiver 2: snr_db must not be " in capsys.readouterr().err
+
     def test_unschedulable_receiver_named(self, tmp_path, capsys):
         path = tmp_path / "weak.csv"
         path.write_text("receiver_id,snr_db\n1,9.0\n5,-25.0\n")

@@ -12,7 +12,6 @@ from hmgroup.hungarian import hungarian_solve
 from hmgroup.matching_core import (
     Assignment,
     CostMatrix,
-    PermutationAssignment,
     Receiver,
     UnschedulableReceiverError,
     assignment_cost,
@@ -50,17 +49,18 @@ class TestAssignmentTypes:
             Assignment((0, 3))
 
     def test_permutation_validation(self):
-        with pytest.raises(ValueError, match="not a permutation"):
-            PermutationAssignment((0, 0, 1))
+        # a repeated entry is not a permutation, so it cannot be self-inverse
+        with pytest.raises(ValueError, match="involution"):
+            Assignment((0, 0, 1))
 
-    def test_involution_detection_and_conversion(self):
-        cycle = PermutationAssignment((1, 2, 0))
-        assert not cycle.is_involution
-        with pytest.raises(ValueError):
-            cycle.to_assignment()
-        swap = PermutationAssignment((1, 0))
-        assert swap.is_involution
-        assert swap.to_assignment() == Assignment((1, 0))
+    def test_involution_detection_and_conversion(self, counterexample):
+        cycle = hungarian_solve(counterexample)
+        assert not cycle.is_symmetric
+        with pytest.raises(ValueError, match="involution"):
+            Assignment(cycle.permutation)
+        swap = hungarian_solve(np.array([[9.0, 1.0], [1.0, 9.0]]))
+        assert swap.is_symmetric
+        assert Assignment(swap.permutation) == Assignment((1, 0))
 
 
 class TestCostMatrix:
@@ -117,8 +117,9 @@ class TestBuildCostMatrix:
 
 class TestAssignmentCost:
     def test_three_cycle_on_counterexample(self, counterexample):
-        cycle = PermutationAssignment((2, 0, 1))  # 1->3, 2->1, 3->2 one-based
-        assert assignment_cost(counterexample, cycle) == 8.0
+        # groupings only: a bare 3-cycle (1->3, 2->1, 3->2 one-based) is refused
+        with pytest.raises(TypeError, match="Assignment"):
+            assignment_cost(counterexample, (2, 0, 1))
 
     def test_identity_on_counterexample(self, counterexample):
         assert assignment_cost(counterexample, Assignment.identity(3)) == 12.0
@@ -155,7 +156,7 @@ class TestSpectrumEfficiency:
 
     def test_rejects_plain_permutation(self, counterexample):
         with pytest.raises(TypeError):
-            spectrum_efficiency(counterexample, PermutationAssignment((2, 0, 1)))
+            spectrum_efficiency(counterexample, (2, 0, 1))
 
     @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30)
@@ -246,13 +247,13 @@ class TestBruteForcePermutation:
     def test_counterexample_optimum(self, counterexample):
         p, cost = brute_force_optimal_permutation(counterexample)
         assert cost == 8.0
-        assert p.sigma in {(2, 0, 1), (1, 2, 0)}
+        assert p in {(2, 0, 1), (1, 2, 0)}
 
     def test_diagonally_dominant_picks_identity(self):
         values = np.full((5, 5), 9.0)
         np.fill_diagonal(values, 1.0)
         p, cost = brute_force_optimal_permutation(CostMatrix(values))
-        assert p.sigma == tuple(range(5))
+        assert p == tuple(range(5))
         assert cost == 5.0
 
     def test_refuses_large_n(self):

@@ -1,10 +1,13 @@
 """Tests for the perturbation heuristic and the baseline groupings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmgroup.hungarian import hungarian_solve
 from hmgroup.matching_core import (
     Assignment,
     CostMatrix,
@@ -24,6 +27,19 @@ from hmgroup.strategies import (
 )
 
 from conftest import random_symmetric_cost
+
+
+@st.composite
+def hundredths_matrices(draw, max_n: int = 12) -> CostMatrix:
+    """Symmetric matrices of positive multiples of 0.01: exact ties are common."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    size = n * (n + 1) // 2
+    upper = draw(st.lists(st.integers(min_value=1, max_value=200), min_size=size, max_size=size))
+    values = np.zeros((n, n))
+    iu, ju = np.triu_indices(n)
+    values[iu, ju] = upper
+    values[ju, iu] = upper
+    return CostMatrix(values / 100)
 
 
 class TestPerturbConfig:
@@ -235,6 +251,48 @@ class TestQuasiOptimalMatching:
                     assert report.symmetric_cost >= report.upper_bound_cost - 1e-9
         assert engaged > 5
         assert succeeded / engaged > 0.5
+
+    def test_bound_never_exceeds_the_shipped_cost(self):
+        # the shipped grouping ties the assignment optimum, but its float sum
+        # runs over other entries and lands one ulp below the solver's sum
+        m = np.random.default_rng(44).integers(50, 201, (5, 5)) / 100
+        c = CostMatrix(np.triu(m) + np.triu(m, 1).T)
+        report = quasi_optimal_matching(c, PerturbConfig())
+        assert report.symmetric_cost == 3.69
+        assert report.upper_bound_cost == report.symmetric_cost
+        assert report.gap_fraction == 0.0
+
+    @pytest.mark.parametrize(
+        ("scale", "absorbed"), [(1.0 + 1e-13, True), (1.0 + 1e-9, False)]
+    )
+    def test_bound_above_a_grouping_is_rounding_or_an_error(self, monkeypatch, scale, absorbed):
+        # the unperturbed solve is already the identity grouping, costing 2
+        def inflated(c):
+            solution = hungarian_solve(c)
+            return replace(solution, cost=solution.cost * scale)
+
+        monkeypatch.setattr("hmgroup.strategies.hungarian_solve", inflated)
+        c = CostMatrix(np.array([[1.0, 5.0], [5.0, 1.0]]))
+        if absorbed:
+            report = quasi_optimal_matching(c, PerturbConfig())
+            assert report.upper_bound_cost == report.symmetric_cost == 2.0
+            assert report.gap_fraction == 0.0
+        else:
+            with pytest.raises(RuntimeError, match="below the assignment optimum"):
+                quasi_optimal_matching(c, PerturbConfig())
+
+    @given(hundredths_matrices(), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_report_invariants_on_hundredths(self, c, seed):
+        report = quasi_optimal_matching(c, PerturbConfig(seed=seed))
+        partner = report.symmetric_assignment.partner
+        assert all(partner[j] == i for i, j in enumerate(partner))
+        assert report.symmetric_cost >= report.upper_bound_cost
+        assert report.gap_fraction >= 0.0
+        for baseline in report.baselines.values():
+            assert report.symmetric_cost <= baseline.cost
+        _, optimum = brute_force_optimal_symmetric(c)
+        assert report.symmetric_cost >= optimum - 1e-9
 
     def test_receiver_count_mismatch_rejected(self, counterexample):
         with pytest.raises(ValueError, match="receivers"):
