@@ -1,10 +1,14 @@
-"""Deterministic O(n^3) assignment solver.
+"""Deterministic assignment solver: certify a guess, else solve in O(n^3).
 
-Shortest-augmenting-path formulation with dual potentials: rows are inserted
-one at a time and each insertion grows an alternating tree over columns until
-it reaches a free column, updating the potentials by the minimum slack at
-every step. Scan order is fixed (rows ascending, slack minima resolved to the
-lowest column index), so identical inputs always produce identical outputs.
+A guess is optimal exactly when its residual column graph (moving the row on
+column k to column j costs ``w[k, j]``) has no negative cycle; a 2-exchange
+test and a vectorized Bellman-Ford pass of at most n + 1 rounds decide that.
+Otherwise rows are inserted one at a time into a shortest-augmenting-path
+solve, each growing an alternating tree over columns until it reaches a free
+column and updating the dual potentials by the minimum slack at every step.
+Scan order is fixed (rows ascending, slack minima resolved to the lowest
+column index), so identical inputs always produce identical outputs. Both
+paths return duals with ``u[i] + v[j] <= c[i, j]``, tight on the permutation.
 
 On a symmetric cost matrix the returned permutation is the unconstrained
 optimum and therefore only a bound for grouping purposes: its cost can be
@@ -13,7 +17,7 @@ strictly below the cost of every self-inverse permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,20 +28,62 @@ __all__ = ["HungarianSolution", "hungarian_solve"]
 
 @dataclass(frozen=True)
 class HungarianSolution:
-    """``permutation[i]`` is row i's column (0-based); ``is_symmetric`` marks an involution."""
+    """``permutation[i]`` is row i's column (0-based); ``is_symmetric`` marks an
+    involution. The duals ``u`` and ``v`` prove optimality; ``==`` ignores them."""
 
     permutation: tuple[int, ...]
     cost: float
     is_symmetric: bool
+    u: np.ndarray = field(compare=False, repr=False)
+    v: np.ndarray = field(compare=False, repr=False)
 
 
-def hungarian_solve(c) -> HungarianSolution:
+def _solution(cost: np.ndarray, row_col: np.ndarray, v: np.ndarray) -> HungarianSolution:
+    # Row duals follow from the column duals by tightness on the permutation.
+    rows = np.arange(len(row_col))
+    matched = cost[rows, row_col]
+    is_symmetric = bool((row_col[row_col] == rows).all())
+    u = matched - v[row_col]
+    return HungarianSolution(tuple(row_col.tolist()), float(matched.sum()), is_symmetric, u, v)
+
+
+def _certify(cost: np.ndarray, guess: np.ndarray) -> HungarianSolution | None:
+    """``guess`` with its duals if it is optimal, else None."""
+    n = cost.shape[0]
+    row_of = np.argsort(guess)  # the inverse permutation
+    if guess.shape != (n,) or not np.array_equal(guess[row_of], np.arange(n)):
+        raise ValueError(f"guess must be a permutation of 0..{n - 1}")
+    w = cost[row_of] - cost[row_of, np.arange(n)][:, None]
+    buf = np.empty((n, n))
+    if (np.add(w, w.T, out=buf) < 0.0).any():  # a 2-exchange improves the guess
+        return None
+    # Shortest-path potentials from a zero start are column duals; only a
+    # column whose potential dropped last round can lower another.
+    v = np.zeros(n)
+    changed = np.arange(n)
+    for _ in range(n + 1):
+        part = buf[: changed.size]
+        np.take(w, changed, axis=0, out=part)
+        part += v[changed, None]
+        best = part.min(axis=0)
+        changed = np.flatnonzero(best < v)
+        if not changed.size:
+            return _solution(cost, guess, v)
+        v[changed] = best[changed]
+    return None
+
+
+def hungarian_solve(c, guess=None) -> HungarianSolution:
     """Minimum-cost permutation of a square non-negative matrix.
 
-    Accepts a CostMatrix or any array-like; symmetry is not assumed.
+    Accepts a CostMatrix or any array-like; symmetry is not assumed. A
+    ``guess`` (``guess[i]`` is row i's column) is returned if certified optimal.
     """
     cost = c.values if isinstance(c, CostMatrix) else as_cost_array(c)
     n = cost.shape[0]
+    certified = None if guess is None else _certify(cost, np.asarray(guess, dtype=np.intp))
+    if certified is not None:
+        return certified
     # col_row[j] = row matched to column j; index n is the virtual root column
     # that hosts the row currently being inserted. A value of n means free.
     col_row = np.full(n + 1, n, dtype=np.intp)
@@ -72,7 +118,4 @@ def hungarian_solve(c) -> HungarianSolution:
             j0 = j_prev
     row_col = np.empty(n, dtype=np.intp)
     row_col[col_row[:n]] = np.arange(n)
-    total = float(cost[np.arange(n), row_col].sum())
-    permutation = tuple(int(j) for j in row_col)
-    is_symmetric = bool((row_col[row_col] == np.arange(n)).all())
-    return HungarianSolution(permutation, total, is_symmetric)
+    return _solution(cost, row_col, v[:n])

@@ -147,21 +147,6 @@ def largest_diff_from_costs(c: CostMatrix) -> Assignment:
     return _pair_extremes(_ascending_order(-np.diag(c.values)))
 
 
-def _baselines(c: CostMatrix, receivers: Sequence[Receiver] | None) -> dict[str, Candidate]:
-    # The extreme-SNR baseline uses true SNR order when receivers are known,
-    # otherwise the rate order implied by the diagonal.
-    if receivers is None:
-        largest_diff = largest_diff_from_costs(c)
-    elif len(receivers) != c.n:
-        raise ValueError(f"got {len(receivers)} receivers for a {c.n}x{c.n} matrix")
-    else:
-        largest_diff = largest_diff_matching(receivers)
-    return {
-        name: Candidate(grouping, assignment_cost(c, grouping))
-        for name, grouping in (("time_sharing", time_sharing(c.n)), ("largest_diff", largest_diff))
-    }
-
-
 def quasi_optimal_matching(
     c: CostMatrix,
     cfg: PerturbConfig,
@@ -170,17 +155,31 @@ def quasi_optimal_matching(
 ) -> MatchingReport:
     """Best grouping found via the perturbation heuristic plus baselines.
 
-    Solves the unperturbed matrix first: that cost is the upper bound, and if
-    the solution is already self-inverse it is optimal among groupings and
-    shipped. Otherwise up to ``cfg.max_retries`` perturbed copies (all drawn
-    from one generator seeded ``cfg.seed``) are solved until one yields a
-    self-inverse permutation, evaluated on the original matrix; the cheapest
-    of that hit and the two baselines (see ``_baselines``) is shipped, ties
-    going to the smaller partner array. A bound above the shipped cost by at
-    most 1e-12 relative is rounding and is lowered to it; a larger excess raises.
+    Solves the unperturbed matrix first, offering the SNR-order rotation as
+    the guess: that cost is the upper bound, and if the solution is already
+    self-inverse it is optimal among groupings and shipped. Otherwise up to
+    ``cfg.max_retries`` perturbed copies (all drawn from one generator seeded
+    ``cfg.seed``) are solved until one yields a self-inverse permutation,
+    evaluated on the original matrix; the cheapest of that hit and the two
+    baselines is shipped, ties going to the smaller partner array. A bound
+    above the shipped cost by at most 1e-12 relative is rounding and is
+    lowered to it; a larger excess raises.
     """
-    baselines = _baselines(c, receivers)
-    base = hungarian_solve(c)
+    # True SNR order when receivers are known, otherwise the rate order implied
+    # by the diagonal (see largest_diff_from_costs).
+    if receivers is None:
+        order = _ascending_order(-np.diag(c.values))
+    elif len(receivers) != c.n:
+        raise ValueError(f"got {len(receivers)} receivers for a {c.n}x{c.n} matrix")
+    else:
+        order = snr_sorted_order(receivers)
+    groupings = {"time_sharing": time_sharing(c.n), "largest_diff": _pair_extremes(order)}
+    baselines = {name: Candidate(g, assignment_cost(c, g)) for name, g in groupings.items()}
+    # Sorted position k takes position (k + ceil(n/2)) mod n's column: the
+    # certified optimum on beam populations, whose sorted costs are Monge.
+    guess = np.empty(c.n, dtype=np.intp)
+    guess[order] = np.roll(order, -((c.n + 1) // 2))
+    base = hungarian_solve(c, guess=guess)
     if base.cost <= 0.0:
         raise ValueError(
             "optimal assignment cost is zero; scheduling costs must be positive"

@@ -1,15 +1,23 @@
 """Tests for the deterministic assignment solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from hmgroup.hungarian import hungarian_solve
+from hmgroup import BeamModel, HierRateModel, default_modcod_table, sample_receivers
+from hmgroup.hungarian import _certify, hungarian_solve
 from hmgroup.matching_core import (
     CostMatrix,
+    UnschedulableReceiverError,
     brute_force_optimal_permutation,
     brute_force_optimal_symmetric,
+    build_cost_matrix,
 )
+from hmgroup.strategies import snr_sorted_order
 
 from conftest import random_symmetric_cost
 
@@ -142,3 +150,127 @@ def test_determinism_across_calls():
     first = hungarian_solve(m)
     second = hungarian_solve(m.copy())
     assert first == second
+
+
+def beam_costs(n: int, seeds=range(12)):
+    """Cost matrices of schedulable 12 dB beam populations, with their SNR rotations.
+
+    The rotation sends sorted position k to position (k + ceil(n/2)) mod n.
+    """
+    table, model = default_modcod_table(), HierRateModel()
+    for seed in seeds:
+        receivers = sample_receivers(BeamModel(snr_max_db=12.0, n_receivers=n, seed=seed))
+        try:
+            c = build_cost_matrix(receivers, table, model)
+        except UnschedulableReceiverError:
+            continue
+        order = np.array(snr_sorted_order(receivers))
+        rotation = np.empty(n, dtype=np.intp)
+        rotation[order] = order[(np.arange(n) + (n + 1) // 2) % n]
+        yield c, rotation
+
+
+def cycle_lengths(perm) -> list[int]:
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j, length = perm[j], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def assert_duals_prove(c: np.ndarray, solution) -> None:
+    """Feasible duals, tight on the permutation, summing to the cost."""
+    tol = 1e-12 * c.max()
+    slack = c - solution.u[:, None] - solution.v[None, :]
+    assert slack.min() >= -tol
+    rows = np.arange(c.shape[0])
+    assert np.abs(slack[rows, np.array(solution.permutation)]).max() <= tol
+    assert solution.u.sum() + solution.v.sum() == pytest.approx(solution.cost, rel=1e-12)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("n", [2, 3, 40, 41])
+    def test_beam_rotation_is_certified_optimal(self, n):
+        checked = 0
+        for c, rotation in beam_costs(n):
+            assert _certify(c.values, rotation) is not None
+            solution = hungarian_solve(c, guess=rotation)
+            assert solution.permutation == tuple(rotation.tolist())
+            assert solution.cost == pytest.approx(hungarian_solve(c).cost, rel=1e-12)
+            assert_duals_prove(c.values, solution)
+            if n % 2:
+                assert cycle_lengths(solution.permutation) == [n]
+            else:
+                assert solution.is_symmetric
+            checked += 1
+        assert checked >= 4
+
+    @given(
+        st.integers(min_value=1, max_value=9).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(1, 200), min_size=n * n, max_size=n * n),
+                st.permutations(range(n)),
+                st.booleans(),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_guess_gives_the_optimum(self, drawn):
+        entries, guess, offer_optimum = drawn
+        n = len(guess)
+        m = np.array(entries, dtype=float).reshape(n, n) / 100
+        c = CostMatrix(np.triu(m) + np.triu(m, 1).T)
+        optimum, oracle_cost = brute_force_optimal_permutation(c)
+        solution = hungarian_solve(c, guess=optimum if offer_optimum else guess)
+        assert solution.cost == pytest.approx(oracle_cost, rel=1e-12)
+        assert_duals_prove(c.values, solution)
+
+    def test_wrong_guess_on_counterexample_is_the_plain_solve(self, counterexample):
+        plain = hungarian_solve(counterexample)
+        for guess in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:  # groupings, none optimal
+            guessed = hungarian_solve(counterexample, guess=guess)
+            assert guessed == plain
+            assert np.array_equal(guessed.u, plain.u) and np.array_equal(guessed.v, plain.v)
+
+    def test_wrong_guess_on_ties_is_the_plain_solve(self):
+        m = np.random.default_rng(108).integers(50, 201, (60, 60)) / 100
+        c = CostMatrix(np.triu(m) + np.triu(m, 1).T)
+        order = np.argsort(-np.diag(c.values), kind="stable")
+        rotation = np.empty(60, dtype=np.intp)
+        rotation[order] = np.roll(order, -30)
+        plain = hungarian_solve(c)
+        assert float(c.values[np.arange(60), rotation].sum()) > plain.cost
+        guessed = hungarian_solve(c, guess=rotation)
+        assert guessed == plain
+        assert np.array_equal(guessed.u, plain.u) and np.array_equal(guessed.v, plain.v)
+
+    def test_guess_must_be_a_permutation(self, counterexample):
+        for guess in [(0, 0, 1), (0, 1), (0, 1, 3)]:
+            with pytest.raises(ValueError, match="permutation"):
+                hungarian_solve(counterexample, guess=guess)
+
+
+class TestDuals:
+    def test_both_paths_return_proving_duals(self):
+        rng = np.random.default_rng(109)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            m = rng.uniform(0.0, 3.0, size=(n, n))
+            plain = hungarian_solve(m)
+            assert_duals_prove(m, plain)
+            certified = _certify(m, np.array(plain.permutation))
+            assert certified is not None and certified == plain
+            assert_duals_prove(m, certified)
+
+    def test_duals_on_beam_populations(self):
+        for c, rotation in beam_costs(41, seeds=range(3)):
+            assert_duals_prove(c.values, hungarian_solve(c))
+            assert_duals_prove(c.values, hungarian_solve(c, guess=rotation))
+
+    def test_duals_do_not_take_part_in_equality(self):
+        solution = hungarian_solve(np.array([[1.0, 5.0], [5.0, 1.0]]))
+        assert solution == replace(solution, u=solution.u + 1.0, v=solution.v - 1.0)

@@ -14,6 +14,7 @@ from hmgroup.matching_core import (
     Receiver,
     assignment_cost,
     brute_force_optimal_symmetric,
+    build_cost_matrix,
 )
 from hmgroup.strategies import (
     Candidate,
@@ -267,8 +268,8 @@ class TestQuasiOptimalMatching:
     )
     def test_bound_above_a_grouping_is_rounding_or_an_error(self, monkeypatch, scale, absorbed):
         # the unperturbed solve is already the identity grouping, costing 2
-        def inflated(c):
-            solution = hungarian_solve(c)
+        def inflated(c, guess=None):
+            solution = hungarian_solve(c, guess)
             return replace(solution, cost=solution.cost * scale)
 
         monkeypatch.setattr("hmgroup.strategies.hungarian_solve", inflated)
@@ -280,6 +281,31 @@ class TestQuasiOptimalMatching:
         else:
             with pytest.raises(RuntimeError, match="below the assignment optimum"):
                 quasi_optimal_matching(c, PerturbConfig())
+
+    @pytest.mark.parametrize(
+        ("snrs", "rotation"),
+        [
+            # SNR order 1, 3, 0, 4, 2: sorted position k takes position k + 3 mod 5
+            ([5.0, 1.0, 9.0, 3.0, 7.0], (1, 4, 0, 2, 3)),
+            # no receivers: the descending diagonal 7, 3, 2 orders 1, 0, 2
+            (None, (1, 2, 0)),
+        ],
+    )
+    def test_only_the_bound_solve_is_offered_the_rotation(
+        self, monkeypatch, counterexample, table, capacity_model, snrs, rotation
+    ):
+        offered = []
+
+        def spy(c, guess=None):
+            offered.append(None if guess is None else tuple(guess.tolist()))
+            return hungarian_solve(c, guess)
+
+        monkeypatch.setattr("hmgroup.strategies.hungarian_solve", spy)
+        receivers = None if snrs is None else [Receiver(i + 1, x) for i, x in enumerate(snrs)]
+        c = counterexample if snrs is None else build_cost_matrix(receivers, table, capacity_model)
+        report = quasi_optimal_matching(c, PerturbConfig(max_retries=3), receivers=receivers)
+        assert offered[0] == rotation
+        assert offered[1:] == [None] * report.retries_used
 
     @given(hundredths_matrices(), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
