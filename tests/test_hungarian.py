@@ -170,16 +170,12 @@ def beam_costs(n: int, seeds=range(12)):
         yield c, rotation
 
 
-def cycle_lengths(perm) -> list[int]:
-    seen, lengths = set(), []
-    for start in range(len(perm)):
-        length, j = 0, start
-        while j not in seen:
-            seen.add(j)
-            j, length = perm[j], length + 1
-        if length:
-            lengths.append(length)
-    return lengths
+def cycle_length(perm) -> int:
+    """Length of the permutation's cycle through 0."""
+    j, length = perm[0], 1
+    while j != 0:
+        j, length = perm[j], length + 1
+    return length
 
 
 def assert_duals_prove(c: np.ndarray, solution) -> None:
@@ -203,7 +199,7 @@ class TestCertificate:
             assert solution.cost == pytest.approx(hungarian_solve(c).cost, rel=1e-12)
             assert_duals_prove(c.values, solution)
             if n % 2:
-                assert cycle_lengths(solution.permutation) == [n]
+                assert cycle_length(solution.permutation) == n
             else:
                 assert solution.is_symmetric
             checked += 1
