@@ -23,7 +23,6 @@ from .matching_core import (
     count_strategies,
     enumerate_involutions,
     load_cost_csv,
-    spectrum_efficiency,
 )
 from .rate_model import (
     HierRateModel,
@@ -39,11 +38,9 @@ from .strategies import (
     Candidate,
     MatchingReport,
     PerturbConfig,
-    largest_diff_from_costs,
     largest_diff_matching,
     perturb,
     quasi_optimal_matching,
-    time_sharing,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +71,6 @@ __all__ = [
     "default_modcod_table",
     "enumerate_involutions",
     "hungarian_solve",
-    "largest_diff_from_costs",
     "largest_diff_matching",
     "load_cost_csv",
     "load_modcod_table",
@@ -85,6 +81,4 @@ __all__ = [
     "run_campaign",
     "sample_receivers",
     "single_rate",
-    "spectrum_efficiency",
-    "time_sharing",
 ]

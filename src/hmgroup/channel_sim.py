@@ -24,22 +24,12 @@ __all__ = [
     "GainStats",
     "SkippedTrial",
     "SimulationSummary",
-    "STRATEGY_TIME_SHARING",
-    "STRATEGY_LARGEST_DIFF",
-    "STRATEGY_QUASI_OPTIMAL",
-    "STRATEGY_UPPER_BOUND",
     "sample_receivers",
     "pair_probability_matrix",
     "run_campaign",
     "summary_to_json_dict",
     "write_pair_probability_csv",
 ]
-
-STRATEGY_TIME_SHARING = "time_sharing"
-STRATEGY_LARGEST_DIFF = "largest_diff"
-STRATEGY_QUASI_OPTIMAL = "quasi_optimal"
-STRATEGY_UPPER_BOUND = "upper_bound"
-
 
 @dataclass(frozen=True)
 class BeamModel:
@@ -54,10 +44,10 @@ class BeamModel:
     def __post_init__(self) -> None:
         if not math.isfinite(self.snr_max_db):
             raise ValueError("snr_max_db must be finite")
-        if self.edge_loss_db < 0.0:
-            raise ValueError("edge_loss_db must be >= 0")
-        if self.weather_mean_db < 0.0:
-            raise ValueError("weather_mean_db must be >= 0")
+        if not 0.0 <= self.edge_loss_db < math.inf:
+            raise ValueError("edge_loss_db must be finite and >= 0")
+        if not 0.0 <= self.weather_mean_db < math.inf:
+            raise ValueError("weather_mean_db must be finite and >= 0")
         if self.n_receivers < 1:
             raise ValueError("n_receivers must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -158,7 +148,6 @@ def run_campaign(
     skipped: list[SkippedTrial] = []
     gain_samples: dict[str, list[float]] = {}
     success_count = 0
-    failure_count = 0
     quasi_samples: list[tuple[list[Receiver], Assignment]] = []
     for t in range(trials):
         receivers = sample_receivers(replace(model, seed=(model.seed + t) % 2**64))
@@ -170,19 +159,13 @@ def run_campaign(
         report = quasi_optimal_matching(
             cost, replace(cfg, seed=(cfg.seed + t) % 2**64), receivers=receivers
         )
-        efficiency = {
-            STRATEGY_TIME_SHARING: 1.0 / report.baselines[STRATEGY_TIME_SHARING].cost,
-            STRATEGY_LARGEST_DIFF: 1.0 / report.baselines[STRATEGY_LARGEST_DIFF].cost,
-            STRATEGY_QUASI_OPTIMAL: 1.0 / report.symmetric_cost,
-            STRATEGY_UPPER_BOUND: 1.0 / report.upper_bound_cost,
-        }
+        efficiency = {name: 1.0 / pick.cost for name, pick in report.baselines.items()}
+        efficiency["quasi_optimal"] = 1.0 / report.symmetric_cost
+        efficiency["upper_bound"] = 1.0 / report.upper_bound_cost
         for name, value in efficiency.items():
-            gain = value / efficiency[STRATEGY_TIME_SHARING] - 1.0
+            gain = value / efficiency["time_sharing"] - 1.0
             gain_samples.setdefault(name, []).append(gain)
-        if report.success:
-            success_count += 1
-        else:
-            failure_count += 1
+        success_count += report.success
         quasi_samples.append((receivers, report.symmetric_assignment))
     completed = len(quasi_samples)
     if completed == 0:
@@ -203,7 +186,7 @@ def run_campaign(
         skipped=tuple(skipped),
         gains=gains,
         success_count=success_count,
-        failure_count=failure_count,
+        failure_count=completed - success_count,
         pair_probability=pair_probability_matrix(quasi_samples),
     )
 

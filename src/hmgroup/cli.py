@@ -164,12 +164,12 @@ def cmd_simulate(args) -> int:
     }
     if args.out is None:
         record["summary"]["pair_probability"] = pair_probability
-        sys.stdout.write(json.dumps(record, indent=2) + "\n")
+        _emit(record, None, "json")
     else:
         out = Path(args.out)
         csv_path = out.with_name(out.stem + "_pair_probability.csv")
         record["pair_probability_csv"] = csv_path.name
-        out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        _emit(record, args.out, "json")
         write_pair_probability_csv(summary.pair_probability, csv_path)
     return EXIT_OK
 

@@ -26,7 +26,6 @@ __all__ = [
     "UnschedulableReceiverError",
     "build_cost_matrix",
     "assignment_cost",
-    "spectrum_efficiency",
     "count_strategies",
     "enumerate_involutions",
     "brute_force_optimal_symmetric",
@@ -144,22 +143,17 @@ def build_cost_matrix(
                 "every MODCOD threshold and cannot be scheduled"
             )
         diag[pos] = 1.0 / rate
-    snrs = np.array([r.snr_db for r in receivers])
-    values = np.zeros((n, n))
+    rates = pair_rate_matrix(np.array([r.snr_db for r in receivers]), model)
+    # argwhere scans row-major, so the first hit is the first bad upper-triangle pair
+    bad = np.argwhere(np.triu((rates <= 0.0) | ~np.isfinite(rates), k=1))
+    if bad.size:
+        i, j = (receivers[int(k)] for k in bad[0])
+        raise UnschedulableReceiverError(
+            f"pair (receiver {i.index}, receiver {j.index}) has non-positive rate"
+        )
+    with np.errstate(divide="ignore"):  # the zero diagonal is overwritten below
+        values = 1.0 / (2.0 * rates)
     np.fill_diagonal(values, diag)
-    if n > 1:
-        rates = pair_rate_matrix(snrs, model)
-        iu, ju = np.triu_indices(n, k=1)
-        pair_rates = rates[iu, ju]
-        if (pair_rates <= 0.0).any() or not np.isfinite(pair_rates).all():
-            k = int(np.flatnonzero((pair_rates <= 0.0) | ~np.isfinite(pair_rates))[0])
-            i, j = receivers[int(iu[k])], receivers[int(ju[k])]
-            raise UnschedulableReceiverError(
-                f"pair (receiver {i.index}, receiver {j.index}) has non-positive rate"
-            )
-        off = 1.0 / (2.0 * pair_rates)
-        values[iu, ju] = off
-        values[ju, iu] = off
     return CostMatrix(values)
 
 
@@ -170,15 +164,6 @@ def assignment_cost(c: CostMatrix, x: Assignment) -> float:
     if x.n != c.n:
         raise ValueError(f"assignment covers {x.n} receivers, matrix has {c.n}")
     return float(c.values[np.arange(c.n), np.array(x.partner)].sum())
-
-
-def spectrum_efficiency(c: CostMatrix, x: Assignment) -> float:
-    """Average spectrum efficiency offered to every receiver by grouping ``x``.
-
-    The reciprocal of the assignment cost: each pair contributes one inverse
-    pair rate (two mirrored half entries) and each single one inverse rate.
-    """
-    return 1.0 / assignment_cost(c, x)
 
 
 def count_strategies(n: int) -> int:

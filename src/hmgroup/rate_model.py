@@ -204,14 +204,12 @@ def _parse_code_rate(text: str) -> float:
 def _open_source(source) -> IO[str]:
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    raise TypeError(f"unsupported source type: {type(source)!r}")
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, (bytes, bytearray)):
+        data = data.decode("utf-8")
+    if not isinstance(data, str):
+        raise TypeError(f"unsupported source type: {type(source)!r}")
+    return io.StringIO(data)
 
 
 def _csv_rows(

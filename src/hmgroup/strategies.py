@@ -22,10 +22,8 @@ __all__ = [
     "Candidate",
     "MatchingReport",
     "perturb",
-    "time_sharing",
     "snr_sorted_order",
     "largest_diff_matching",
-    "largest_diff_from_costs",
     "quasi_optimal_matching",
 ]
 
@@ -39,8 +37,8 @@ class PerturbConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if self.max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
         if not 0 <= self.seed < 2**64:
@@ -96,13 +94,6 @@ def perturb(c: CostMatrix, sigma: float, seed: int | np.random.Generator) -> Cos
     return CostMatrix(np.maximum(c.values + eps, 0.0))
 
 
-def time_sharing(n: int) -> Assignment:
-    """No grouping: every receiver in its own slot (the identity matrix)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return Assignment.identity(n)
-
-
 def _pair_extremes(order: Sequence[int]) -> Assignment:
     # Pair the k-th entry of the given ordering with the k-th from the end;
     # for odd lengths the median entry stays single.
@@ -137,16 +128,6 @@ def largest_diff_matching(receivers: Sequence[Receiver]) -> Assignment:
     return _pair_extremes(snr_sorted_order(receivers))
 
 
-def largest_diff_from_costs(c: CostMatrix) -> Assignment:
-    """Extreme pairing when only the cost matrix is known.
-
-    Diagonal entries are inverse single rates, so descending diagonal cost is
-    ascending rate: the closest available stand-in for SNR order. Equal
-    diagonal entries keep position order.
-    """
-    return _pair_extremes(_ascending_order(-np.diag(c.values)))
-
-
 def quasi_optimal_matching(
     c: CostMatrix,
     cfg: PerturbConfig,
@@ -165,15 +146,16 @@ def quasi_optimal_matching(
     above the shipped cost by at most 1e-12 relative is rounding and is
     lowered to it; a larger excess raises.
     """
-    # True SNR order when receivers are known, otherwise the rate order implied
-    # by the diagonal (see largest_diff_from_costs).
+    # True SNR order when receivers are known. Otherwise descending diagonal:
+    # diagonal entries are inverse single rates, so that is ascending rate,
+    # the closest stand-in for SNR order; equal entries keep position order.
     if receivers is None:
         order = _ascending_order(-np.diag(c.values))
     elif len(receivers) != c.n:
         raise ValueError(f"got {len(receivers)} receivers for a {c.n}x{c.n} matrix")
     else:
         order = snr_sorted_order(receivers)
-    groupings = {"time_sharing": time_sharing(c.n), "largest_diff": _pair_extremes(order)}
+    groupings = {"time_sharing": Assignment.identity(c.n), "largest_diff": _pair_extremes(order)}
     baselines = {name: Candidate(g, assignment_cost(c, g)) for name, g in groupings.items()}
     # Sorted position k takes position (k + ceil(n/2)) mod n's column: the
     # certified optimum on beam populations, whose sorted costs are Monge.

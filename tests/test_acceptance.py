@@ -30,13 +30,11 @@ from hmgroup.matching_core import (
     build_cost_matrix,
     count_strategies,
     enumerate_involutions,
-    spectrum_efficiency,
 )
 from hmgroup.strategies import (
     PerturbConfig,
     largest_diff_matching,
     quasi_optimal_matching,
-    time_sharing,
 )
 
 from conftest import COUNTEREXAMPLE_3X3, random_symmetric_cost
@@ -193,8 +191,8 @@ def test_criterion_05_per_trial_ordering_chain(table, capacity_model):
             )
             r_bound = 1.0 / matching.upper_bound_cost
             r_quasi = 1.0 / matching.symmetric_cost
-            r_ld = spectrum_efficiency(cost, largest_diff_matching(receivers))
-            r_ts = spectrum_efficiency(cost, time_sharing(50))
+            r_ld = 1.0 / assignment_cost(cost, largest_diff_matching(receivers))
+            r_ts = 1.0 / assignment_cost(cost, Assignment.identity(50))
             assert r_bound >= r_quasi - 1e-9
             assert r_quasi >= r_ld - 1e-9
             assert r_ld >= r_ts - 1e-9
@@ -255,8 +253,8 @@ def test_criterion_07_quasi_optimal_beats_extreme_pairing(table, capacity_model)
             matching = quasi_optimal_matching(
                 cost, replace(cfg, seed=cfg.seed + t), receivers=receivers
             )
-            r_ts = spectrum_efficiency(cost, time_sharing(40))
-            r_ld = spectrum_efficiency(cost, largest_diff_matching(receivers))
+            r_ts = 1.0 / assignment_cost(cost, Assignment.identity(40))
+            r_ld = 1.0 / assignment_cost(cost, largest_diff_matching(receivers))
             r_quasi = 1.0 / matching.symmetric_cost
             quasi_gains.append(r_quasi / r_ts - 1.0)
             ld_gains.append(r_ld / r_ts - 1.0)
@@ -284,7 +282,7 @@ def test_criterion_08_assignment_structure_statistics(table, capacity_model):
     for t in range(20):
         receivers = sample_receivers(replace(model, seed=model.seed + t))
         ld_samples.append((receivers, largest_diff_matching(receivers)))
-        ts_samples.append((receivers, time_sharing(10)))
+        ts_samples.append((receivers, Assignment.identity(10)))
     anti_diagonal_ok = np.array_equal(
         pair_probability_matrix(ld_samples), np.fliplr(np.eye(10))
     )

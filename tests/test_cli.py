@@ -215,6 +215,24 @@ class TestSimulate:
         assert run_cli("simulate", "--trials", "0") == 2
         assert run_cli("simulate", "--sigma", "-1") == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--edge-loss", "nan", "edge_loss_db"),
+            ("--edge-loss", "inf", "edge_loss_db"),
+            ("--weather-mean", "inf", "weather_mean_db"),
+            ("--weather-mean", "nan", "weather_mean_db"),
+        ],
+    )
+    def test_non_finite_beam_loss_rejected(self, flag, value, field, capsys):
+        code = run_cli(
+            "simulate", "--receivers", "10", "--trials", "2", "--snr-max", "12", flag, value
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"error: {field} must be finite" in captured.err
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         out = tmp_path / "summary.json"
         csv_out = tmp_path / "summary_pair_probability.csv"
@@ -226,6 +244,19 @@ class TestSimulate:
         first = (out.read_bytes(), csv_out.read_bytes())
         assert run_cli(*args) == 0
         assert (out.read_bytes(), csv_out.read_bytes()) == first
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_infinite_sigma_rejected(command, cost_csv, capsys):
+    inputs = {
+        "solve": ["--cost-csv", str(cost_csv)],
+        "simulate": ["--receivers", "10", "--trials", "2", "--snr-max", "12"],
+    }
+    code = run_cli(command, *inputs[command], "--sigma", "inf")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: sigma must be finite" in captured.err
 
 
 def test_module_entry_point_runs():

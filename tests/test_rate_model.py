@@ -283,3 +283,22 @@ class TestSharedCsvReader:
         with pytest.raises(ModcodParseError, match="^row 3: ") as info:
             loader(_csv_text(header, [good, "", bad]))
         assert info.value.row == 3
+
+    @pytest.mark.parametrize("loader, header, good, bad", LOADERS)
+    def test_byte_sources_are_decoded(self, loader, header, good, bad):
+        payload = _csv_text(header, [good, "", bad]).getvalue().encode("utf-8")
+        for source in (bytearray(payload), io.BytesIO(payload)):
+            with pytest.raises(ModcodParseError, match="^row 3: "):
+                loader(source)
+
+    def test_byte_sources_match_text(self):
+        text = "modulation,bits_per_symbol,code_rate,snr_threshold_db\nQPSK\u00b7,2,1/2,1.0\n"
+        expected = load_modcod_table(io.StringIO(text))
+        assert expected.entries[0].modulation_name == "QPSK\u00b7"
+        for source in (bytearray(text.encode()), io.BytesIO(text.encode())):
+            assert load_modcod_table(source) == expected
+
+    @pytest.mark.parametrize("loader, header, good, bad", LOADERS)
+    def test_unsupported_source_type_rejected(self, loader, header, good, bad):
+        with pytest.raises(TypeError, match="unsupported source type"):
+            loader(42)

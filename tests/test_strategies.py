@@ -20,11 +20,9 @@ from hmgroup.strategies import (
     Candidate,
     MatchingReport,
     PerturbConfig,
-    largest_diff_from_costs,
     largest_diff_matching,
     perturb,
     quasi_optimal_matching,
-    time_sharing,
 )
 
 from conftest import random_symmetric_cost
@@ -50,8 +48,9 @@ class TestPerturbConfig:
         assert cfg.max_retries == 50
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PerturbConfig(sigma=0.0)
+        for sigma in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma"):
+                PerturbConfig(sigma=sigma)
         with pytest.raises(ValueError):
             PerturbConfig(max_retries=0)
         with pytest.raises(ValueError):
@@ -95,15 +94,15 @@ class TestPerturb:
 
 
 class TestTimeSharing:
-    def test_identity(self):
-        assert time_sharing(3) == Assignment((0, 1, 2))
+    # The time-sharing grouping is Assignment.identity, every receiver single.
+    def test_identity(self, counterexample):
+        report = quasi_optimal_matching(counterexample, PerturbConfig())
+        assert report.baselines["time_sharing"].assignment == Assignment((0, 1, 2))
 
     def test_efficiency_is_harmonic_composition(self):
         rates = np.array([1.0, 2.0, 4.0])
         c = CostMatrix(np.diag(1.0 / rates))
-        from hmgroup.matching_core import spectrum_efficiency
-
-        assert spectrum_efficiency(c, time_sharing(3)) == pytest.approx(
+        assert 1.0 / assignment_cost(c, Assignment.identity(3)) == pytest.approx(
             1.0 / (1.0 / rates).sum()
         )
 
@@ -111,13 +110,11 @@ class TestTimeSharing:
         values = np.full((8, 8), 0.25)
         np.fill_diagonal(values, 0.5)
         c = CostMatrix(values)
-        from hmgroup.matching_core import spectrum_efficiency
-
-        assert spectrum_efficiency(c, time_sharing(8)) == pytest.approx(0.25)
+        assert 1.0 / assignment_cost(c, Assignment.identity(8)) == pytest.approx(0.25)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            time_sharing(0)
+            Assignment.identity(0)
 
 
 class TestLargestDiffMatching:
@@ -156,8 +153,8 @@ class TestLargestDiffMatching:
 
     def test_cost_only_variant_uses_diagonal_rate_order(self, counterexample):
         # diagonal costs (3, 7, 2) mean rates rank middle < first < last
-        a = largest_diff_from_costs(counterexample)
-        assert a.partner == (0, 2, 1)
+        report = quasi_optimal_matching(counterexample, PerturbConfig())
+        assert report.baselines["largest_diff"].assignment.partner == (0, 2, 1)
 
 
 class TestQuasiOptimalMatching:
@@ -221,11 +218,11 @@ class TestQuasiOptimalMatching:
             report = quasi_optimal_matching(c, PerturbConfig(seed=k), receivers=receivers)
             assert report.symmetric_cost >= report.upper_bound_cost - 1e-9
             assert report.gap_fraction >= -1e-9
-            ts_cost = assignment_cost(c, time_sharing(n))
+            ts_cost = assignment_cost(c, Assignment.identity(n))
             ld_cost = assignment_cost(c, largest_diff_matching(receivers))
             assert report.symmetric_cost <= min(ts_cost, ld_cost) + 1e-12
             assert report.baselines == {
-                "time_sharing": Candidate(time_sharing(n), ts_cost),
+                "time_sharing": Candidate(Assignment.identity(n), ts_cost),
                 "largest_diff": Candidate(largest_diff_matching(receivers), ld_cost),
             }
 
