@@ -200,7 +200,10 @@ def summary_to_json_dict(summary: SimulationSummary) -> dict:
 
 def write_pair_probability_csv(matrix: np.ndarray, dest) -> None:
     """Square CSV of the pair-probability matrix, for external heatmap plotting."""
-    matrix = np.asarray(matrix)
-    text = "\n".join(",".join(repr(float(x)) for x in row) for row in matrix) + "\n"
+    bits = np.asarray(matrix, dtype=float).view(np.int64)
+    # Entries are k / trials: format each bit pattern (so -0.0 stays -0.0) once.
+    distinct = np.unique(bits)
+    cells = np.array([repr(float(x)) for x in distinct.view(float)], dtype=object)
+    text = "\n".join(",".join(cells[np.searchsorted(distinct, r)].tolist()) for r in bits) + "\n"
     with open(dest, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

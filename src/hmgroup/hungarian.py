@@ -1,11 +1,13 @@
 """Deterministic assignment solver: certify a guess, else solve in O(n^3).
 
 A guess is optimal exactly when its residual column graph (moving the row on
-column k to column j costs ``w[k, j]``) has no negative cycle; a 2-exchange
-test and a vectorized Bellman-Ford pass of at most n + 1 rounds decide that.
-Otherwise rows are inserted one at a time into a shortest-augmenting-path
-solve, each growing an alternating tree over columns until it reaches a free
-column and updating the dual potentials by the minimum slack at every step.
+column k to column j costs ``w[k, j]``) has no negative cycle. A 2-exchange
+test rejects most bad guesses at once; otherwise a few Gauss-Seidel sweeps
+seed shortest-path potentials, and a vectorized Bellman-Ford pass of at most
+n + 1 rounds proves them a fixpoint. Without that proof, rows are inserted
+one at a time into a shortest-augmenting-path solve, each growing an
+alternating tree over columns until it reaches a free column and updating
+the dual potentials by the minimum slack at every step.
 Scan order is fixed (rows ascending, slack minima resolved to the lowest
 column index), so identical inputs always produce identical outputs. Both
 paths return duals with ``u[i] + v[j] <= c[i, j]``, tight on the permutation.
@@ -57,9 +59,22 @@ def _certify(cost: np.ndarray, guess: np.ndarray) -> HungarianSolution | None:
     buf = np.empty((n, n))
     if (np.add(w, w.T, out=buf) < 0.0).any():  # a 2-exchange improves the guess
         return None
-    # Shortest-path potentials from a zero start are column duals; only a
-    # column whose potential dropped last round can lower another.
-    v = np.zeros(n)
+    # Shortest-path potentials from a zero start are column duals. One Jacobi
+    # round (w's diagonal is 0), then Gauss-Seidel sweeps in descending and
+    # ascending potential order, run down a sorted guess's long chains (two
+    # sweeps at even n, four at odd). Each v[j] stays a walk length, so the
+    # rounds after are the proof; in them only a column whose potential dropped
+    # last round can lower another.
+    v = w.min(axis=0)
+    wt, row = np.ascontiguousarray(w.T), buf[0]
+    for sweep in range(4):
+        lowered = False
+        for j in np.argsort(v if sweep % 2 else -v, kind="stable"):
+            best = np.add(v, wt[j], out=row).min()
+            if best < v[j]:
+                v[j], lowered = best, True
+        if not lowered:
+            break
     changed = np.arange(n)
     for _ in range(n + 1):
         part = buf[: changed.size]

@@ -82,8 +82,8 @@ def perturb(c: CostMatrix, sigma: float, seed: int | np.random.Generator) -> Cos
     the result stays solvable. The input matrix is not modified. ``seed`` is
     an integer seed or a ``Generator``, which the draw advances.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     n = c.n
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=n * (n + 1) // 2)

@@ -253,3 +253,23 @@ def test_summary_json_and_csv_serialization(tmp_path):
     write_pair_probability_csv(summary.pair_probability, path)
     loaded = np.loadtxt(path, delimiter=",")
     assert np.array_equal(loaded, summary.pair_probability)
+
+
+def test_pair_probability_csv_matches_per_entry_repr(tmp_path):
+    # The writer formats each distinct value once; the bytes must equal
+    # formatting every entry on its own.
+    campaign = run_campaign(
+        BeamModel(snr_max_db=12.0, n_receivers=40, seed=0), 3, PerturbConfig(seed=1),
+        table=default_modcod_table(), rate_model=HierRateModel(),
+    )
+    assert campaign.completed == 3
+    matrices = [
+        campaign.pair_probability,
+        np.random.default_rng(5).random((300, 300)),
+        np.array([[0.0, -0.0], [np.nan, 0.1]]),  # the two zeros print differently
+    ]
+    path = tmp_path / "pp.csv"
+    for matrix in matrices:
+        write_pair_probability_csv(matrix, path)
+        rows = (",".join(repr(float(x)) for x in row) for row in matrix)
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import hmgroup
+from hmgroup import BeamModel, sample_receivers
 from hmgroup.cli import main
 
 from conftest import COUNTEREXAMPLE_3X3
@@ -144,6 +146,26 @@ class TestSolve:
         pair = tmp_path / "pair.csv"
         pair.write_text("snr_i_db,snr_j_db,rate_bits_per_symbol\n1.0,2.0,1.0\n")
         assert run_cli("solve", "--snr-csv", str(snr_csv), "--pair-table", str(pair)) == 2
+
+
+    @pytest.mark.parametrize(
+        ("n", "code", "digest"),
+        [
+            (120, 0, "0968deed69b3867a6e17b857ad191bdf3fbfc3d24b2ab597cfad2058297fe56f"),
+            (121, 1, "f7de01c99484ab5cd6e9c7a97b6621ba2d54fd6be97d9d52614b03b1e7fb959d"),
+        ],
+    )
+    def test_beam_report_is_byte_identical(self, tmp_path, capsys, n, code, digest):
+        # SHA-256 of the JSON report on a 12 dB beam population, recorded at
+        # commit 124ab07. Among tied optima a solver change can move the
+        # partner array without breaking any invariant; this pins it.
+        receivers = sample_receivers(BeamModel(snr_max_db=12.0, n_receivers=n, seed=0))
+        path = tmp_path / "beam.csv"
+        path.write_text(
+            "receiver_id,snr_db\n" + "".join(f"{r.index},{r.snr_db!r}\n" for r in receivers)
+        )
+        assert run_cli("solve", "--snr-csv", str(path)) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestOracle:

@@ -205,6 +205,19 @@ class TestCertificate:
             checked += 1
         assert checked >= 4
 
+    @pytest.mark.parametrize("n", [499, 500])
+    def test_rotation_is_certified_at_benchmark_size(self, n):
+        checked = 0
+        for c, rotation in beam_costs(n, seeds=range(6)):
+            solution = _certify(c.values, rotation)
+            assert solution is not None
+            assert solution.permutation == tuple(rotation.tolist())
+            rows, cols = linear_sum_assignment(c.values)
+            assert solution.cost == pytest.approx(float(c.values[rows, cols].sum()), rel=1e-12)
+            assert_duals_prove(c.values, solution)
+            checked += 1
+        assert checked >= 2
+
     @given(
         st.integers(min_value=1, max_value=9).flatmap(
             lambda n: st.tuples(
@@ -241,6 +254,21 @@ class TestCertificate:
         plain = hungarian_solve(c)
         assert float(c.values[np.arange(60), rotation].sum()) > plain.cost
         guessed = hungarian_solve(c, guess=rotation)
+        assert guessed == plain
+        assert np.array_equal(guessed.u, plain.u) and np.array_equal(guessed.v, plain.v)
+
+    def test_guess_no_two_exchange_improves_is_the_plain_solve(self):
+        # The guess passes the 2-exchange test, so the sweeps and the
+        # vectorized rounds run, but it is not optimal.
+        m = np.random.default_rng(1).integers(1, 20, (6, 6)) / 10
+        c = np.triu(m) + np.triu(m, 1).T
+        guess, rows = np.array([4, 2, 1, 5, 0, 3]), np.arange(6)
+        on_guess = c[rows, guess]
+        swapped = c[rows[:, None], guess[None, :]] + c[rows[None, :], guess[:, None]]
+        assert (swapped >= on_guess[:, None] + on_guess[None, :]).all()
+        plain = hungarian_solve(c)
+        assert on_guess.sum() > plain.cost
+        guessed = hungarian_solve(c, guess=guess)
         assert guessed == plain
         assert np.array_equal(guessed.u, plain.u) and np.array_equal(guessed.v, plain.v)
 

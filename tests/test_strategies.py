@@ -92,6 +92,11 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(counterexample, 0.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_non_finite_sigma_is_named(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            perturb(CostMatrix(np.eye(2)), sigma, seed=0)
+
 
 class TestTimeSharing:
     # The time-sharing grouping is Assignment.identity, every receiver single.
