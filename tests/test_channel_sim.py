@@ -256,7 +256,7 @@ def test_summary_json_and_csv_serialization(tmp_path):
 
 
 def test_pair_probability_csv_matches_per_entry_repr(tmp_path):
-    # The writer formats each distinct value once; the bytes must equal
+    # The writer formats each distinct bit pattern once; the bytes must equal
     # formatting every entry on its own.
     campaign = run_campaign(
         BeamModel(snr_max_db=12.0, n_receivers=40, seed=0), 3, PerturbConfig(seed=1),

@@ -147,7 +147,6 @@ class TestSolve:
         pair.write_text("snr_i_db,snr_j_db,rate_bits_per_symbol\n1.0,2.0,1.0\n")
         assert run_cli("solve", "--snr-csv", str(snr_csv), "--pair-table", str(pair)) == 2
 
-
     @pytest.mark.parametrize(
         ("n", "code", "digest"),
         [
