@@ -100,9 +100,7 @@ def sample_receivers(model: BeamModel) -> list[Receiver]:
     return [Receiver(index=i + 1, snr_db=float(s)) for i, s in enumerate(snrs)]
 
 
-def pair_probability_matrix(
-    samples: Iterable[tuple[Sequence[Receiver], Assignment]]
-) -> np.ndarray:
+def pair_probability_matrix(samples: Iterable[tuple[Sequence[Receiver], Assignment]]) -> np.ndarray:
     """Per-entry frequency of assignment-matrix ones, on SNR-sorted positions.
 
     Every trial contributes a full symmetric permutation matrix, so each row

@@ -69,9 +69,7 @@ def _build_rate_model(args) -> HierRateModel:
 
 
 def _load_table(args):
-    if args.modcod is not None:
-        return load_modcod_table(args.modcod)
-    return default_modcod_table()
+    return default_modcod_table() if args.modcod is None else load_modcod_table(args.modcod)
 
 
 def _perturb_config(args) -> PerturbConfig:
@@ -253,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--receivers", type=int, default=500)
     simulate.add_argument("--trials", type=int, default=100)
     simulate.add_argument("--edge-loss", type=float, default=3.0, help="max positional loss (dB)")
-    simulate.add_argument(
-        "--weather-mean", type=float, default=2.0, help="mean weather loss (dB)"
-    )
+    simulate.add_argument("--weather-mean", type=float, default=2.0, help="mean weather loss (dB)")
     add_rate_flags(simulate)
     add_perturb_flags(simulate)
     simulate.add_argument("--out", metavar="PATH", help="summary JSON path (default: stdout)")

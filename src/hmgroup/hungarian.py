@@ -7,14 +7,20 @@ seed shortest-path potentials, and a vectorized Bellman-Ford pass of at most
 n + 1 rounds proves them a fixpoint. Without that proof, rows are inserted
 one at a time into a shortest-augmenting-path solve, each growing an
 alternating tree over columns until it reaches a free column and updating
-the dual potentials by the minimum slack at every step.
+the dual potentials by the minimum slack at every step. A ``start``, the
+solution of a nearby matrix, warm-starts that loop (Jonker & Volgenant 1987):
+its column duals are kept, a row reduction makes them feasible, rows whose
+start column is still tight keep it, and only the other rows are inserted.
 Scan order is fixed (rows ascending, slack minima resolved to the lowest
 column index), so identical inputs always produce identical outputs. Both
 paths return duals with ``u[i] + v[j] <= c[i, j]``, tight on the permutation.
 
 On a symmetric cost matrix the returned permutation is the unconstrained
 optimum and therefore only a bound for grouping purposes: its cost can be
-strictly below the cost of every self-inverse permutation.
+strictly below the cost of every self-inverse permutation. Its optima come
+in tied families (pi and its inverse, every reversal of a 3-or-longer cycle);
+an involution has no such partner, so on a noisy copy with no entry clamped
+to zero a self-inverse optimum is unique and cannot depend on the start.
 """
 
 from __future__ import annotations
@@ -88,11 +94,12 @@ def _certify(cost: np.ndarray, guess: np.ndarray) -> HungarianSolution | None:
     return None
 
 
-def hungarian_solve(c, guess=None) -> HungarianSolution:
+def hungarian_solve(c, guess=None, start=None) -> HungarianSolution:
     """Minimum-cost permutation of a square non-negative matrix.
 
     Accepts a CostMatrix or any array-like; symmetry is not assumed. A
     ``guess`` (``guess[i]`` is row i's column) is returned if certified optimal.
+    ``start``, a solution of a nearby matrix of the same size, warm-starts the loop.
     """
     cost = c.values if isinstance(c, CostMatrix) else as_cost_array(c)
     n = cost.shape[0]
@@ -104,12 +111,21 @@ def hungarian_solve(c, guess=None) -> HungarianSolution:
     col_row = np.full(n + 1, n, dtype=np.intp)
     u = np.zeros(n)      # row potentials
     v = np.zeros(n + 1)  # column potentials (virtual root included)
+    rows = range(n)      # rows still to insert
+    if start is not None:
+        keep = np.asarray(start.permutation, dtype=np.intp)
+        if keep.shape != (n,) or np.shape(start.v) != (n,):
+            raise ValueError(f"start must solve a {n}x{n} matrix")
+        v[:n] = start.v
+        u = (cost - start.v).min(axis=1)  # row reduction: feasible duals
+        tight = cost[np.arange(n), keep] - u - v[keep] <= 0.0
+        col_row[keep[tight]] = np.flatnonzero(tight)
+        rows = np.flatnonzero(~tight).tolist()
     prev_col = np.zeros(n, dtype=np.intp)
-    inf = np.inf
-    for row in range(n):
+    for row in rows:
         col_row[n] = row
         j0 = n
-        min_slack = np.full(n, inf)
+        min_slack = np.full(n, np.inf)
         used = np.zeros(n + 1, dtype=bool)
         while True:
             used[j0] = True
@@ -118,7 +134,7 @@ def hungarian_solve(c, guess=None) -> HungarianSolution:
             better = ~used[:n] & (slack < min_slack)
             min_slack[better] = slack[better]
             prev_col[better] = j0
-            reachable = np.where(used[:n], inf, min_slack)
+            reachable = np.where(used[:n], np.inf, min_slack)
             j1 = int(np.argmin(reachable))  # ties resolve to the lowest column
             delta = reachable[j1]
             u[col_row[used]] += delta

@@ -174,8 +174,6 @@ def pair_rate_matrix(snrs_db: np.ndarray, model: HierRateModel) -> np.ndarray:
     n = snrs.shape[0]
     out = np.zeros((n, n))
     iu, ju = np.triu_indices(n, k=1)
-    if iu.size == 0:
-        return out
     if model.pair_table is not None:
         weak, strong = np.minimum(snrs[iu], snrs[ju]), np.maximum(snrs[iu], snrs[ju])
         try:
@@ -196,8 +194,7 @@ def pair_rate_matrix(snrs_db: np.ndarray, model: HierRateModel) -> np.ndarray:
 def _parse_code_rate(text: str) -> float:
     text = text.strip()
     if "/" in text:
-        frac = Fraction(text)
-        return frac.numerator / frac.denominator
+        return float(Fraction(text))
     return float(text)
 
 

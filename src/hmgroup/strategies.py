@@ -97,13 +97,9 @@ def perturb(c: CostMatrix, sigma: float, seed: int | np.random.Generator) -> Cos
 def _pair_extremes(order: Sequence[int]) -> Assignment:
     # Pair the k-th entry of the given ordering with the k-th from the end;
     # for odd lengths the median entry stays single.
-    n = len(order)
-    partner = list(range(n))
-    for k in range(n // 2):
-        a, b = order[k], order[n - 1 - k]
-        partner[a] = b
-        partner[b] = a
-    return Assignment(tuple(partner))
+    partner = np.empty(len(order), dtype=np.intp)
+    partner[order] = order[::-1]
+    return Assignment(tuple(partner.tolist()))
 
 
 def _ascending_order(keys) -> list[int]:
@@ -129,22 +125,19 @@ def largest_diff_matching(receivers: Sequence[Receiver]) -> Assignment:
 
 
 def quasi_optimal_matching(
-    c: CostMatrix,
-    cfg: PerturbConfig,
-    *,
-    receivers: Sequence[Receiver] | None = None,
+    c: CostMatrix, cfg: PerturbConfig, *, receivers: Sequence[Receiver] | None = None
 ) -> MatchingReport:
     """Best grouping found via the perturbation heuristic plus baselines.
 
-    Solves the unperturbed matrix first, offering the SNR-order rotation as
-    the guess: that cost is the upper bound, and if the solution is already
+    Solves the unperturbed matrix first, offering the SNR-order rotation as the
+    guess: that cost is the upper bound, and if the solution is already
     self-inverse it is optimal among groupings and shipped. Otherwise up to
     ``cfg.max_retries`` perturbed copies (all drawn from one generator seeded
-    ``cfg.seed``) are solved until one yields a self-inverse permutation,
-    evaluated on the original matrix; the cheapest of that hit and the two
-    baselines is shipped, ties going to the smaller partner array. A bound
-    above the shipped cost by at most 1e-12 relative is rounding and is
-    lowered to it; a larger excess raises.
+    ``cfg.seed``) are solved, each warm-started from the bound solve, until one
+    yields a self-inverse permutation, evaluated on the original matrix; the
+    cheapest of that hit and the two baselines is shipped, ties going to the
+    smaller partner array. A bound above the shipped cost by at most 1e-12
+    relative is rounding and is lowered to it; a larger excess raises.
     """
     # True SNR order when receivers are known. Otherwise descending diagonal:
     # diagonal entries are inverse single rates, so that is ascending rate,
@@ -163,16 +156,14 @@ def quasi_optimal_matching(
     guess[order] = np.roll(order, -((c.n + 1) // 2))
     base = hungarian_solve(c, guess=guess)
     if base.cost <= 0.0:
-        raise ValueError(
-            "optimal assignment cost is zero; scheduling costs must be positive"
-        )
+        raise ValueError("optimal assignment cost is zero; scheduling costs must be positive")
     candidates = [] if base.is_symmetric else list(baselines.values())
     solution = base
     retries_used = 0
     rng = np.random.default_rng(cfg.seed)
     while not solution.is_symmetric and retries_used < cfg.max_retries:
         retries_used += 1
-        solution = hungarian_solve(perturb(c, cfg.sigma, rng))
+        solution = hungarian_solve(perturb(c, cfg.sigma, rng), start=base)
     if solution.is_symmetric:
         grouping = Assignment(solution.permutation)
         candidates.append(Candidate(grouping, assignment_cost(c, grouping)))

@@ -166,6 +166,29 @@ class TestSolve:
         assert run_cli("solve", "--snr-csv", str(path)) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        ("seed", "code", "retries", "digest"),
+        [
+            (216, 0, 20, "3818f881a26587501f798c7b3dce14ee21e7ac3575ae853ab76e7438f4c4c9f1"),
+            (205, 1, 50, "3e08942a2cb38b40034dc17b6e28106117d6e73888b6ddb1c518f415442b7aa1"),
+        ],
+    )
+    def test_perturbation_report_is_byte_identical(
+        self, tmp_path, capsys, seed, code, retries, digest
+    ):
+        # SHA-256 of the JSON report on a 60x60 symmetric hundredths matrix,
+        # recorded at commit 6637503, before the perturbed re-solves were
+        # warm-started: one search that succeeds after 20 retries and one that
+        # uses all 50 and falls back to a baseline.
+        m = np.random.default_rng(seed).integers(50, 201, (60, 60)) / 100
+        m = np.triu(m) + np.triu(m, 1).T
+        path = tmp_path / "ties.csv"
+        path.write_text("".join(",".join(str(v) for v in row) + "\n" for row in m))
+        assert run_cli("solve", "--cost-csv", str(path)) == code
+        out = capsys.readouterr().out
+        assert json.loads(out)["retries_used"] == retries
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestOracle:
     def test_counterexample_record(self, cost_csv, capsys):

@@ -1,6 +1,7 @@
 """Tests for the deterministic assignment solver."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hmgroup.matching_core import (
     brute_force_optimal_symmetric,
     build_cost_matrix,
 )
-from hmgroup.strategies import snr_sorted_order
+from hmgroup.strategies import perturb, snr_sorted_order
 
 from conftest import random_symmetric_cost
 
@@ -298,3 +299,55 @@ class TestDuals:
     def test_duals_do_not_take_part_in_equality(self):
         solution = hungarian_solve(np.array([[1.0, 5.0], [5.0, 1.0]]))
         assert solution == replace(solution, u=solution.u + 1.0, v=solution.v - 1.0)
+
+
+class TestWarmStart:
+    @given(
+        st.integers(min_value=1, max_value=9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(1, 200), min_size=2 * n * n, max_size=2 * n * n),
+                st.booleans(),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_start_gives_the_optimum(self, drawn):
+        n, entries, symmetric = drawn
+        m, other = np.array(entries, dtype=float).reshape(2, n, n) / 100
+        if symmetric:
+            m, other = (np.triu(x) + np.triu(x, 1).T for x in (m, other))
+        solution = hungarian_solve(m, start=hungarian_solve(other))
+        # the oracle reads only ``values`` and ``n``, so it takes any square matrix
+        _, oracle_cost = brute_force_optimal_permutation(SimpleNamespace(values=m, n=n))
+        assert solution.cost == pytest.approx(oracle_cost, rel=1e-12)
+        assert_duals_prove(m, solution)
+
+    def test_start_must_solve_a_matrix_of_the_same_size(self, counterexample):
+        start = hungarian_solve(counterexample)
+        for wrong in [
+            hungarian_solve(np.eye(2)),
+            replace(start, permutation=start.permutation[:2]),
+            replace(start, v=start.v[:2]),
+        ]:
+            with pytest.raises(ValueError, match="3x3"):
+                hungarian_solve(counterexample, start=wrong)
+
+    def test_warm_and_cold_agree_on_perturbed_copies(self):
+        # A symmetric perturbed copy without clamped entries has at most one
+        # optimal involution, so where the search stops cannot depend on the start.
+        (beam, rotation), = beam_costs(121, seeds=[0])
+        m = np.random.default_rng(110).integers(50, 201, (200, 200)) / 100
+        ties = CostMatrix(np.triu(m) + np.triu(m, 1).T)
+        rng, hits = np.random.default_rng(111), 0
+        bases = [hungarian_solve(beam, guess=rotation), hungarian_solve(ties)]
+        for c, base in zip([beam, ties], bases):
+            for _ in range(10):
+                copy = perturb(c, 1e-3, rng)
+                cold, warm = hungarian_solve(copy), hungarian_solve(copy, start=base)
+                assert warm.is_symmetric == cold.is_symmetric
+                assert warm.cost == pytest.approx(cold.cost, rel=1e-12)
+                if cold.is_symmetric:
+                    assert warm.permutation == cold.permutation
+                hits += cold.is_symmetric
+        assert hits > 0  # the permutations were compared at least once

@@ -29,16 +29,29 @@ from conftest import random_symmetric_cost
 
 
 @st.composite
-def hundredths_matrices(draw, max_n: int = 12) -> CostMatrix:
-    """Symmetric matrices of positive multiples of 0.01: exact ties are common."""
+def hundredths_matrices(draw, max_n: int = 12, top: int = 200, unit: float = 0.01) -> CostMatrix:
+    """Symmetric matrices of 1..top times ``unit`` (0.01): exact ties are common."""
     n = draw(st.integers(min_value=2, max_value=max_n))
     size = n * (n + 1) // 2
-    upper = draw(st.lists(st.integers(min_value=1, max_value=200), min_size=size, max_size=size))
+    upper = draw(st.lists(st.integers(min_value=1, max_value=top), min_size=size, max_size=size))
     values = np.zeros((n, n))
     iu, ju = np.triu_indices(n)
     values[iu, ju] = upper
     values[ju, iu] = upper
-    return CostMatrix(values / 100)
+    return CostMatrix(values * unit)
+
+
+def assert_report_invariants(c: CostMatrix, report) -> None:
+    """An involution, no cheaper than the bound or the best grouping, and no
+    dearer than either baseline."""
+    partner = report.symmetric_assignment.partner
+    assert all(partner[j] == i for i, j in enumerate(partner))
+    assert report.symmetric_cost >= report.upper_bound_cost
+    assert report.gap_fraction >= 0.0
+    for baseline in report.baselines.values():
+        assert report.symmetric_cost <= baseline.cost
+    _, optimum = brute_force_optimal_symmetric(c)
+    assert report.symmetric_cost >= optimum - 1e-9
 
 
 class TestPerturbConfig:
@@ -270,8 +283,8 @@ class TestQuasiOptimalMatching:
     )
     def test_bound_above_a_grouping_is_rounding_or_an_error(self, monkeypatch, scale, absorbed):
         # the unperturbed solve is already the identity grouping, costing 2
-        def inflated(c, guess=None):
-            solution = hungarian_solve(c, guess)
+        def inflated(c, guess=None, start=None):
+            solution = hungarian_solve(c, guess, start)
             return replace(solution, cost=solution.cost * scale)
 
         monkeypatch.setattr("hmgroup.strategies.hungarian_solve", inflated)
@@ -296,11 +309,13 @@ class TestQuasiOptimalMatching:
     def test_only_the_bound_solve_is_offered_the_rotation(
         self, monkeypatch, counterexample, table, capacity_model, snrs, rotation
     ):
-        offered = []
+        offered, starts, returned = [], [], []
 
-        def spy(c, guess=None):
+        def spy(c, guess=None, start=None):
             offered.append(None if guess is None else tuple(guess.tolist()))
-            return hungarian_solve(c, guess)
+            starts.append(start)
+            returned.append(hungarian_solve(c, guess, start))
+            return returned[-1]
 
         monkeypatch.setattr("hmgroup.strategies.hungarian_solve", spy)
         receivers = None if snrs is None else [Receiver(i + 1, x) for i, x in enumerate(snrs)]
@@ -308,19 +323,24 @@ class TestQuasiOptimalMatching:
         report = quasi_optimal_matching(c, PerturbConfig(max_retries=3), receivers=receivers)
         assert offered[0] == rotation
         assert offered[1:] == [None] * report.retries_used
+        # every perturbed re-solve warm-starts from the unperturbed bound solve
+        assert starts[0] is None
+        assert len(starts) == 1 + report.retries_used
+        assert all(start is returned[0] for start in starts[1:])
 
     @given(hundredths_matrices(), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
     def test_report_invariants_on_hundredths(self, c, seed):
-        report = quasi_optimal_matching(c, PerturbConfig(seed=seed))
-        partner = report.symmetric_assignment.partner
-        assert all(partner[j] == i for i, j in enumerate(partner))
-        assert report.symmetric_cost >= report.upper_bound_cost
-        assert report.gap_fraction >= 0.0
-        for baseline in report.baselines.values():
-            assert report.symmetric_cost <= baseline.cost
-        _, optimum = brute_force_optimal_symmetric(c)
-        assert report.symmetric_cost >= optimum - 1e-9
+        assert_report_invariants(c, quasi_optimal_matching(c, PerturbConfig(seed=seed)))
+
+    @given(
+        hundredths_matrices(max_n=9, top=4, unit=1e-3), st.integers(min_value=0, max_value=2**32)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_report_invariants_where_perturbation_clamps(self, c, seed):
+        # Entries of one to four sigma: perturb clamps some to zero, perturbed
+        # optima can tie, and the warm-started re-solve may pick another of them.
+        assert_report_invariants(c, quasi_optimal_matching(c, PerturbConfig(seed=seed)))
 
     def test_receiver_count_mismatch_rejected(self, counterexample):
         with pytest.raises(ValueError, match="receivers"):
