@@ -118,7 +118,7 @@ def hungarian_solve(c, guess=None, start=None) -> HungarianSolution:
             raise ValueError(f"start must solve a {n}x{n} matrix")
         v[:n] = start.v
         u = (cost - start.v).min(axis=1)  # row reduction: feasible duals
-        tight = cost[np.arange(n), keep] - u - v[keep] <= 0.0
+        tight = cost[np.arange(n), keep] - u - v[keep] <= 0.0  # in the loop's slack order
         col_row[keep[tight]] = np.flatnonzero(tight)
         rows = np.flatnonzero(~tight).tolist()
     prev_col = np.zeros(n, dtype=np.intp)
