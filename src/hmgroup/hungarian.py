@@ -5,15 +5,16 @@ column k to column j costs ``w[k, j]``) has no negative cycle. A 2-exchange
 test rejects most bad guesses at once; otherwise a few Gauss-Seidel sweeps
 seed shortest-path potentials, and a vectorized Bellman-Ford pass of at most
 n + 1 rounds proves them a fixpoint. Without that proof, rows are inserted
-one at a time into a shortest-augmenting-path solve, each growing an
-alternating tree over columns until it reaches a free column and updating
-the dual potentials by the minimum slack at every step. A ``start``, the
-solution of a nearby matrix, warm-starts that loop (Jonker & Volgenant 1987):
-its column duals are kept, a row reduction makes them feasible, rows whose
-start column is still tight keep it, and only the other rows are inserted.
-Scan order is fixed (rows ascending, slack minima resolved to the lowest
-column index), so identical inputs always produce identical outputs. Both
-paths return duals with ``u[i] + v[j] <= c[i, j]``, tight on the permutation.
+one at a time into a shortest-augmenting-path solve (Jonker & Volgenant
+1987): a Dijkstra search over columns keeps path lengths on reduced costs
+and, on reaching a free column at length d, moves each scanned column's
+duals once, by d less its own length. A ``start``, the solution of a nearby
+matrix, warm-starts that loop: its column duals are kept, a row reduction
+makes them feasible, rows whose start column is still tight keep it, and
+only the other rows are inserted. Scan order is fixed (rows ascending, path
+length minima resolved to the lowest column index), so identical inputs
+always produce identical outputs. Both paths return duals with
+``u[i] + v[j] <= c[i, j]``, tight on the permutation.
 
 On a symmetric cost matrix the returned permutation is the unconstrained
 optimum and therefore only a bound for grouping purposes: its cost can be
@@ -109,44 +110,46 @@ def hungarian_solve(c, guess=None, start=None) -> HungarianSolution:
     # col_row[j] = row matched to column j; index n is the virtual root column
     # that hosts the row currently being inserted. A value of n means free.
     col_row = np.full(n + 1, n, dtype=np.intp)
-    u = np.zeros(n)      # row potentials
-    v = np.zeros(n + 1)  # column potentials (virtual root included)
-    rows = range(n)      # rows still to insert
+    u, v = np.zeros(n), np.zeros(n)  # row and column potentials
+    rows = range(n)  # rows still to insert
     if start is not None:
         keep = np.asarray(start.permutation, dtype=np.intp)
         if keep.shape != (n,) or np.shape(start.v) != (n,):
             raise ValueError(f"start must solve a {n}x{n} matrix")
-        v[:n] = start.v
-        u = (cost - start.v).min(axis=1)  # row reduction: feasible duals
-        tight = cost[np.arange(n), keep] - u - v[keep] <= 0.0  # in the loop's slack order
+        v = np.array(start.v, dtype=float)
+        u = (cost - v).min(axis=1)  # row reduction: feasible duals
+        tight = cost[np.arange(n), keep] - u - v[keep] <= 0.0
         col_row[keep[tight]] = np.flatnonzero(tight)
         rows = np.flatnonzero(~tight).tolist()
     prev_col = np.zeros(n, dtype=np.intp)
     for row in rows:
         col_row[n] = row
-        j0 = n
-        min_slack = np.full(n, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        dist = np.full(n, np.inf)  # path lengths of the open columns
+        v_open = v.copy()  # -inf on scanned columns keeps them out of path
+        scanned, reach = [], []
+        i0, j0, d = row, n, 0.0
         while True:
-            used[j0] = True
-            i0 = col_row[j0]
-            slack = cost[i0, :] - u[i0] - v[:n]
-            better = ~used[:n] & (slack < min_slack)
-            min_slack[better] = slack[better]
+            path = np.subtract(cost[i0], v_open)
+            path += d - u[i0]
+            better = path < dist
             prev_col[better] = j0
-            reachable = np.where(used[:n], np.inf, min_slack)
-            j1 = int(np.argmin(reachable))  # ties resolve to the lowest column
-            delta = reachable[j1]
-            u[col_row[used]] += delta
-            v[used] -= delta
-            min_slack[~used[:n]] -= delta
-            j0 = j1
+            np.minimum(dist, path, out=dist)
+            j0 = int(dist.argmin())  # ties resolve to the lowest column
+            d = dist[j0]
             if col_row[j0] == n:
                 break
+            scanned.append(j0)
+            reach.append(d)
+            dist[j0], v_open[j0] = np.inf, -np.inf
+            i0 = col_row[j0]
+        u[row] += d
+        gain = d - np.array(reach)
+        u[col_row[scanned]] += gain
+        v[scanned] -= gain
         while j0 != n:  # flip the alternating path
             j_prev = int(prev_col[j0])
             col_row[j0] = col_row[j_prev]
             j0 = j_prev
     row_col = np.empty(n, dtype=np.intp)
     row_col[col_row[:n]] = np.arange(n)
-    return _solution(cost, row_col, v[:n])
+    return _solution(cost, row_col, v)

@@ -88,9 +88,8 @@ def perturb(c: CostMatrix, sigma: float, seed: int | np.random.Generator) -> Cos
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=n * (n + 1) // 2)
     eps = np.zeros((n, n))
-    iu, ju = np.triu_indices(n)
-    eps[iu, ju] = noise
-    eps[ju, iu] = noise
+    eps[np.triu(np.ones((n, n), dtype=bool))] = noise  # row-major, as triu_indices
+    eps += np.triu(eps, 1).T  # mirror: the lower triangle was 0
     return CostMatrix(np.maximum(c.values + eps, 0.0))
 
 

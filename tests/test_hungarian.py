@@ -1,5 +1,7 @@
 """Tests for the deterministic assignment solver."""
 
+import hashlib
+import itertools
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -296,6 +298,24 @@ class TestDuals:
             assert_duals_prove(c.values, hungarian_solve(c))
             assert_duals_prove(c.values, hungarian_solve(c, guess=rotation))
 
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.lists(st.integers(1, 200), min_size=1, max_size=5, unique=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_duals_on_tie_heavy_matrices(self, n, hundredths, seed, symmetric):
+        # A handful of distinct entries makes exact ties in the path lengths
+        # common, which is where a lazily moved dual would go wrong.
+        m, other = np.random.default_rng(seed).choice(hundredths, size=(2, n, n)) / 100
+        if symmetric:
+            m, other = (np.triu(x) + np.triu(x, 1).T for x in (m, other))
+        rows, cols = linear_sum_assignment(m)
+        for solution in [hungarian_solve(m), hungarian_solve(m, start=hungarian_solve(other))]:
+            assert solution.cost == pytest.approx(float(m[rows, cols].sum()), rel=1e-12)
+            assert_duals_prove(m, solution)
+
     def test_duals_do_not_take_part_in_equality(self):
         solution = hungarian_solve(np.array([[1.0, 5.0], [5.0, 1.0]]))
         assert solution == replace(solution, u=solution.u + 1.0, v=solution.v - 1.0)
@@ -351,3 +371,37 @@ class TestWarmStart:
                     assert warm.permutation == cold.permutation
                 hits += cold.is_symmetric
         assert hits > 0  # the permutations were compared at least once
+
+
+class TestTieResolution:
+    # SHA-256 of (permutation, repr(cost)) from cold solves: which of the tied
+    # optima the scan order returns is part of the output contract.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (300, "385b2548f90f59e81e677214dcd6021d64bc863240bf491d7f8b5b0b097560e5"),
+            (301, "e372755a0689e20b9b1836734ba8662c0246bc1c1f149e42a5093064ebe32a6a"),
+            (302, "d5bd777e614c879dc923f7cedc142871ad85eb0222cc39bcf9104133a2259719"),
+        ],
+    )
+    def test_hundredths_optimum_is_pinned(self, seed, digest):
+        m = np.random.default_rng(seed).integers(50, 201, (200, 200)) / 100
+        solution = hungarian_solve(np.triu(m) + np.triu(m, 1).T)
+        payload = repr((solution.permutation, solution.cost)).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    def test_all_entries_equal(self):
+        ones = np.ones((4, 4))
+        assert hungarian_solve(ones).permutation == (0, 1, 2, 3)
+        # Warm, every start edge that is still tight is kept, whatever it is.
+        for p in itertools.permutations(range(4)):
+            start = SimpleNamespace(permutation=p, v=np.zeros(4))
+            assert hungarian_solve(ones, start=start).permutation == p
+        # Only row 0's start edge is tight: rows 1-3 are inserted, ascending,
+        # and each takes the lowest free column among the tied ones.
+        start = SimpleNamespace(permutation=(3, 2, 1, 0), v=np.array([0.0, 0.0, 0.0, 1.0]))
+        assert hungarian_solve(ones, start=start).permutation == (3, 0, 1, 2)
+
+    def test_two_on_the_diagonal_one_elsewhere(self):
+        m = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+        assert hungarian_solve(m).permutation == (1, 2, 0)

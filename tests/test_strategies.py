@@ -101,6 +101,18 @@ class TestPerturb:
         out = perturb(c, sigma, seed=123)
         assert np.abs(out.values - c.values).max() < 6.0 * sigma
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_matches_triu_indices_reference_bit_for_bit(self, n):
+        c = random_symmetric_cost(np.random.default_rng(n), n)
+        iu, ju = np.triu_indices(n)
+        for seed in range(4):
+            noise = np.random.default_rng(seed).normal(0.0, 0.5, size=iu.size)
+            eps = np.zeros((n, n))
+            eps[iu, ju] = noise
+            eps[ju, iu] = noise
+            expected = np.maximum(c.values + eps, 0.0)
+            assert perturb(c, 0.5, seed).values.tobytes() == expected.tobytes()
+
     def test_sigma_must_be_positive(self, counterexample):
         with pytest.raises(ValueError):
             perturb(counterexample, 0.0, seed=0)
@@ -329,7 +341,7 @@ class TestQuasiOptimalMatching:
         assert all(start is returned[0] for start in starts[1:])
 
     @given(hundredths_matrices(), st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_report_invariants_on_hundredths(self, c, seed):
         assert_report_invariants(c, quasi_optimal_matching(c, PerturbConfig(seed=seed)))
 
