@@ -1,9 +1,15 @@
 """Command-line front end: solve, simulate, oracle and count workflows.
 
-All commands are deterministic under fixed flags and seed and emit
-machine-readable output (JSON by default). Exit codes: 0 on success, 1 when
-the solve heuristic had to fall back to a baseline because no perturbation
-attempt produced a self-inverse solution, 2 on any input error.
+All commands are deterministic under fixed flags and emit machine-readable
+output (JSON by default). Exit codes: 0 on success, 1 when ``solve`` ships a
+grouping it could not prove optimal (the branch-and-bound hit its node cap),
+2 on any input error, including a flag this version no longer has.
+
+Schema 2 (exact search, replacing schema 1's perturbation loop): ``success``
+now means proved optimal; ``retries_used`` became ``nodes``; ``source`` and
+``lower_bound`` are new; ``--sigma``, ``--max-retries``, the ``solve`` and
+``oracle`` ``--seed`` and the ``simulate`` record's ``perturb`` block are gone.
+``simulate --seed`` still seeds the receiver populations.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -33,12 +39,12 @@ from .rate_model import (
     load_modcod_table,
     load_pair_rate_table,
 )
-from .strategies import Candidate, PerturbConfig, quasi_optimal_matching
+from .strategies import Candidate, quasi_optimal_matching
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
-EXIT_NO_SYMMETRIC_FOUND = 1
+EXIT_NOT_PROVED = 1
 EXIT_INPUT_ERROR = 2
 
 
@@ -70,10 +76,6 @@ def _build_rate_model(args) -> HierRateModel:
 
 def _load_table(args):
     return default_modcod_table() if args.modcod is None else load_modcod_table(args.modcod)
-
-
-def _perturb_config(args) -> PerturbConfig:
-    return PerturbConfig(**{f.name: getattr(args, f.name) for f in fields(PerturbConfig)})
 
 
 def _flatten(record: dict, prefix: str = "") -> list[tuple[str, str]]:
@@ -113,7 +115,7 @@ def cmd_solve(args) -> int:
     else:
         receivers = load_snr_csv(args.snr_csv)
         cost = build_cost_matrix(receivers, _load_table(args), _build_rate_model(args))
-    report = quasi_optimal_matching(cost, _perturb_config(args), receivers=receivers)
+    report = quasi_optimal_matching(cost, receivers=receivers)
     shipped = Candidate(report.symmetric_assignment, report.symmetric_cost)
     strategies = {
         name: {
@@ -129,8 +131,10 @@ def cmd_solve(args) -> int:
         "n": cost.n,
         "upper_bound_cost": report.upper_bound_cost,
         "upper_bound_efficiency": 1.0 / report.upper_bound_cost,
+        "lower_bound": report.lower_bound,
         "success": report.success,
-        "retries_used": report.retries_used,
+        "source": report.source,
+        "nodes": report.nodes,
         "assignment": {"partner": _one_based(report.symmetric_assignment)},
         "symmetric_cost": report.symmetric_cost,
         "spectrum_efficiency": 1.0 / report.symmetric_cost,
@@ -138,7 +142,7 @@ def cmd_solve(args) -> int:
         "strategies": strategies,
     }
     _emit(record, args.out, args.format)
-    return EXIT_OK if report.success else EXIT_NO_SYMMETRIC_FOUND
+    return EXIT_OK if report.success else EXIT_NOT_PROVED
 
 
 def cmd_simulate(args) -> int:
@@ -149,15 +153,13 @@ def cmd_simulate(args) -> int:
         n_receivers=args.receivers,
         seed=args.seed,
     )
-    cfg = _perturb_config(args)
-    summary = run_campaign(model, args.trials, cfg, _load_table(args), _build_rate_model(args))
+    summary = run_campaign(model, args.trials, _load_table(args), _build_rate_model(args))
     body = summary_to_json_dict(summary)
     pair_probability = body.pop("pair_probability")
     record = {
         "schema": SCHEMA_VERSION,
         "command": "simulate",
         "model": asdict(model),
-        "perturb": asdict(cfg),
         "summary": body,
     }
     if args.out is None:
@@ -176,7 +178,7 @@ def cmd_oracle(args) -> int:
     cost = load_cost_csv(args.cost_csv)
     _, brute_perm_cost = brute_force_optimal_permutation(cost)
     _, brute_inv_cost = brute_force_optimal_symmetric(cost)
-    report = quasi_optimal_matching(cost, _perturb_config(args))
+    report = quasi_optimal_matching(cost)
     bound = report.upper_bound_cost
     tol = 1e-9
     checks = {
@@ -217,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_perturb_flags(p):
-        p.add_argument("--sigma", type=float, help="perturbation std dev")
-        p.add_argument("--max-retries", type=int, help="perturbation attempts")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.set_defaults(**asdict(PerturbConfig()))
-
     def add_rate_flags(p):
         p.add_argument("--modcod", metavar="PATH", help="MODCOD CSV (default: bundled table)")
         p.add_argument(
@@ -242,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--cost-csv", metavar="PATH", help="square cost matrix CSV")
     group.add_argument("--snr-csv", metavar="PATH", help="receiver list CSV (receiver_id,snr_db)")
     add_rate_flags(solve)
-    add_perturb_flags(solve)
     add_output_flags(solve)
     solve.set_defaults(func=cmd_solve)
 
@@ -252,14 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trials", type=int, default=100)
     simulate.add_argument("--edge-loss", type=float, default=3.0, help="max positional loss (dB)")
     simulate.add_argument("--weather-mean", type=float, default=2.0, help="mean weather loss (dB)")
+    simulate.add_argument("--seed", type=int, default=0, help="seed of trial 0's population")
     add_rate_flags(simulate)
-    add_perturb_flags(simulate)
     simulate.add_argument("--out", metavar="PATH", help="summary JSON path (default: stdout)")
     simulate.set_defaults(func=cmd_simulate)
 
     oracle = sub.add_parser("oracle", help="cross-check solvers on a small matrix")
     oracle.add_argument("--cost-csv", metavar="PATH", required=True)
-    add_perturb_flags(oracle)
     add_output_flags(oracle)
     oracle.set_defaults(func=cmd_oracle)
 

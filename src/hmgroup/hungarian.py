@@ -4,7 +4,9 @@ A guess is optimal exactly when its residual column graph (moving the row on
 column k to column j costs ``w[k, j]``) has no negative cycle. A 2-exchange
 test rejects most bad guesses at once; otherwise a few Gauss-Seidel sweeps
 seed shortest-path potentials, and a vectorized Bellman-Ford pass of at most
-n + 1 rounds proves them a fixpoint. Without that proof, rows are inserted
+n + 1 rounds proves them a fixpoint to within ``REL_TOL`` of the guess's
+mean entry per arc, so a zero-cost cycle that rounds to a tiny negative sum
+does not reject an optimal guess. Without that proof, rows are inserted
 one at a time into a shortest-augmenting-path solve (Jonker & Volgenant
 1987): a Dijkstra search over columns keeps path lengths on reduced costs
 and, on reaching a free column at length d, moves each scanned column's
@@ -14,14 +16,12 @@ makes them feasible, rows whose start column is still tight keep it, and
 only the other rows are inserted. Scan order is fixed (rows ascending, path
 length minima resolved to the lowest column index), so identical inputs
 always produce identical outputs. Both paths return duals with
-``u[i] + v[j] <= c[i, j]``, tight on the permutation.
+``u[i] + v[j] <= c[i, j]`` (to within that tolerance on a certified guess),
+tight on the permutation.
 
 On a symmetric cost matrix the returned permutation is the unconstrained
 optimum and therefore only a bound for grouping purposes: its cost can be
-strictly below the cost of every self-inverse permutation. Its optima come
-in tied families (pi and its inverse, every reversal of a 3-or-longer cycle);
-an involution has no such partner, so on a noisy copy with no entry clamped
-to zero a self-inverse optimum is unique and cannot depend on the start.
+strictly below the cost of every self-inverse permutation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ import numpy as np
 
 from .matching_core import CostMatrix, as_cost_array
 
-__all__ = ["HungarianSolution", "hungarian_solve"]
+__all__ = ["HungarianSolution", "hungarian_solve", "REL_TOL"]
+
+REL_TOL = 1e-12  # relative tolerance of every optimality test
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,9 @@ def _certify(cost: np.ndarray, guess: np.ndarray) -> HungarianSolution | None:
     if guess.shape != (n,) or not np.array_equal(guess[row_of], np.arange(n)):
         raise ValueError(f"guess must be a permutation of 0..{n - 1}")
     w = cost[row_of] - cost[row_of, np.arange(n)][:, None]
+    tol = REL_TOL * float(cost[row_of, np.arange(n)].sum()) / n  # duals feasible to tol
     buf = np.empty((n, n))
-    if (np.add(w, w.T, out=buf) < 0.0).any():  # a 2-exchange improves the guess
+    if (np.add(w, w.T, out=buf) < -tol).any():  # a 2-exchange improves the guess
         return None
     # Shortest-path potentials from a zero start are column duals. One Jacobi
     # round (w's diagonal is 0), then Gauss-Seidel sweeps in descending and
@@ -88,7 +91,7 @@ def _certify(cost: np.ndarray, guess: np.ndarray) -> HungarianSolution | None:
         np.take(w, changed, axis=0, out=part)
         part += v[changed, None]
         best = part.min(axis=0)
-        changed = np.flatnonzero(best < v)
+        changed = np.flatnonzero(best < v - tol)
         if not changed.size:
             return _solution(cost, guess, v)
         v[changed] = best[changed]

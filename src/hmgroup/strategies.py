@@ -1,48 +1,32 @@
 """Symmetric grouping strategies.
 
-The quasi-optimal heuristic re-solves Gaussian-perturbed copies of the cost
-matrix until the assignment solver happens to return a self-inverse
-permutation, then keeps the best grouping found; plain time sharing and
-extreme-SNR pairing serve both as baselines and as fallback candidates, so a
-grouping is always returned even when every perturbation attempt fails.
+The quasi-optimal search bounds the cost matrix with an assignment solve. A
+self-inverse solution is already the best grouping. Otherwise each cycle of
+three or more receivers is repaired into alternating pairs (plus one single
+on an odd cycle), and a best-first branch-and-bound on the assignment
+relaxation (Carpaneto & Toth 1980, with involutions in place of tours) closes
+the remaining gap. Plain time sharing and extreme-SNR pairing serve both as
+baselines and as candidates.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 import numpy as np
 
-from .hungarian import hungarian_solve
+from .hungarian import REL_TOL, HungarianSolution, hungarian_solve
 from .matching_core import Assignment, CostMatrix, Receiver, assignment_cost
 
 __all__ = [
-    "PerturbConfig",
-    "Candidate",
-    "MatchingReport",
-    "perturb",
-    "snr_sorted_order",
-    "largest_diff_matching",
+    "NODE_CAP", "Candidate", "MatchingReport", "snr_sorted_order", "largest_diff_matching",
     "quasi_optimal_matching",
 ]
 
-
-@dataclass(frozen=True)
-class PerturbConfig:
-    """Perturbation-loop knobs: noise scale, retry budget, RNG seed."""
-
-    sigma: float = 1e-3
-    max_retries: int = 50
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if self.max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+NODE_CAP = 1000  # branch-and-bound nodes solved before the incumbent ships unproved
 
 
 @dataclass(frozen=True)
@@ -57,40 +41,59 @@ class Candidate:
 class MatchingReport:
     """Outcome of the quasi-optimal search.
 
-    ``upper_bound_cost`` is the unconstrained assignment optimum, which no
-    grouping can undercut. ``success`` records whether a perturbation attempt
-    (or the unperturbed solve itself) produced a self-inverse solution; the
-    best grouping is reported either way, falling back to the baselines.
-    ``baselines`` holds the ``time_sharing`` and ``largest_diff`` groupings
-    with their costs, evaluated once here for every caller.
+    ``upper_bound_cost`` is the unconstrained assignment optimum; ``lower_bound``
+    the best bound proved on the best grouping's cost. ``source`` names the
+    shipped candidate: ``bound``, ``repair``, ``branch_and_bound``,
+    ``time_sharing`` or ``largest_diff``. ``success`` means the shipped grouping
+    is proved optimal, which fails only when ``nodes`` reached ``NODE_CAP``.
+    ``baselines`` holds the ``time_sharing`` and ``largest_diff`` groupings.
     """
 
     upper_bound_cost: float
+    lower_bound: float
     symmetric_assignment: Assignment
     symmetric_cost: float
     gap_fraction: float
-    retries_used: int
+    source: str
+    nodes: int
     success: bool
     baselines: dict[str, Candidate]
 
 
-def perturb(c: CostMatrix, sigma: float, seed: int | np.random.Generator) -> CostMatrix:
-    """Symmetric Gaussian perturbation of a cost matrix.
+def _long_cycles(perm: Sequence[int]) -> list[np.ndarray]:
+    # Cycles of three or more, each from its lowest vertex, in order of that vertex.
+    seen, cycles = [perm[perm[i]] == i for i in range(len(perm))], []
+    for i in range(len(perm)):
+        if not seen[i]:
+            cycle = [i]
+            while perm[cycle[-1]] != i:
+                cycle.append(perm[cycle[-1]])
+                seen[cycle[-1]] = True
+            cycles.append(np.array(cycle))
+    return cycles
 
-    Upper-triangle entries (diagonal included) are drawn i.i.d. from
-    N(0, sigma^2) and mirrored; entries pushed negative are clamped to zero so
-    the result stays solvable. The input matrix is not modified. ``seed`` is
-    an integer seed or a ``Generator``, which the draw advances.
-    """
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    n = c.n
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=n * (n + 1) // 2)
-    eps = np.zeros((n, n))
-    eps[np.triu(np.ones((n, n), dtype=bool))] = noise  # row-major, as triu_indices
-    eps += np.triu(eps, 1).T  # mirror: the lower triangle was 0
-    return CostMatrix(np.maximum(c.values + eps, 0.0))
+
+def _repair(c: CostMatrix, perm: Sequence[int]) -> Candidate:
+    """Involution from ``perm``: 1- and 2-cycles kept, each longer cycle split into
+    its cheapest alternating pairs, one receiver single on an odd cycle."""
+    partner, m = np.array(perm, dtype=np.intp), c.values
+    for cycle in _long_cycles(perm):
+        k, nxt = len(cycle), np.roll(cycle, -1)
+        pair = m[cycle, nxt] + m[nxt, cycle]  # pair t joins cycle[t] and cycle[t + 1]
+        if k % 2 == 0:
+            first = int(pair[1::2].sum() < pair[0::2].sum())
+        else:
+            # Single cycle[t] plus pairs t+1, t+3, ..., t+k-2: stride-2 prefix sums
+            # over the doubled cycle give all k options in O(k).
+            prefix = np.concatenate([[0.0, 0.0], pair, pair])
+            prefix[0::2], prefix[1::2] = prefix[0::2].cumsum(), prefix[1::2].cumsum()
+            single = int(np.argmin(m[cycle, cycle] + prefix[k : 2 * k] - prefix[1 : k + 1]))
+            first, k = single + 1, k - 1
+            partner[cycle[single]] = cycle[single]
+        ring = np.roll(cycle, -first)[:k]
+        partner[ring[0::2]], partner[ring[1::2]] = ring[1::2], ring[0::2]
+    grouping = Assignment(tuple(partner.tolist()))
+    return Candidate(grouping, assignment_cost(c, grouping))
 
 
 def _pair_extremes(order: Sequence[int]) -> Assignment:
@@ -123,20 +126,73 @@ def largest_diff_matching(receivers: Sequence[Receiver]) -> Assignment:
     return _pair_extremes(snr_sorted_order(receivers))
 
 
-def quasi_optimal_matching(
-    c: CostMatrix, cfg: PerturbConfig, *, receivers: Sequence[Receiver] | None = None
-) -> MatchingReport:
-    """Best grouping found via the perturbation heuristic plus baselines.
+def _node_bound(diag: np.ndarray, solution: HungarianSolution) -> float:
+    # At odd n every grouping leaves some s single, so the duals, feasible and
+    # tight on the assignment, bound it by the cost plus the least reduced
+    # diagonal entry c_ss - u_s - v_s (Edmonds' odd-set inequality on all n).
+    slack = max(0.0, float((diag - solution.u - solution.v).min()))
+    return solution.cost + slack * (len(diag) % 2)
 
-    Solves the unperturbed matrix first, offering the SNR-order rotation as the
-    guess: that cost is the upper bound, and if the solution is already
-    self-inverse it is optimal among groupings and shipped. Otherwise up to
-    ``cfg.max_retries`` perturbed copies (all drawn from one generator seeded
-    ``cfg.seed``) are solved, each warm-started from the bound solve, until one
-    yields a self-inverse permutation, evaluated on the original matrix; the
-    cheapest of that hit and the two baselines is shipped, ties going to the
-    smaller partner array. A bound above the shipped cost by at most 1e-12
-    relative is rounding and is lowered to it; a larger excess raises.
+
+def _branch_and_bound(
+    c: CostMatrix, base: HungarianSolution, best: Candidate
+) -> tuple[Candidate, float, int]:
+    """Best grouping, a lower bound within ``REL_TOL`` of it unless ``NODE_CAP``
+    nodes were solved, and the nodes solved.
+
+    A node forbids some pairs and forces others. Its matrix is ``c`` with a
+    finite ``big`` on the excluded entries (the diagonal is never forbidden, so
+    every node has a grouping), solved warm from its parent. An involution
+    settles a node; any other offers its repair and branches on the first arc
+    {i, j} of its shortest long cycle. Equal bounds pop newest first.
+    """
+    big = 4.0 * c.n * float(c.values.max()) + 1.0
+    heap, order = [], count(0, -1)
+
+    def branch(solution, key, forbidden, forced):
+        cycle = min(_long_cycles(solution.permutation), key=len)
+        arc = (int(cycle[0]), int(cycle[1]))
+        heapq.heappush(heap, (key, next(order), forbidden + (arc,), forced, solution))
+        heapq.heappush(heap, (key, next(order), forbidden, forced + (arc,), solution))
+
+    branch(base, _node_bound(np.diag(c.values), base), (), ())
+    nodes = 0
+    while heap and best.cost > heap[0][0] * (1.0 + REL_TOL) and nodes < NODE_CAP:
+        parent_key, _, forbidden, forced, parent = heapq.heappop(heap)
+        nodes += 1
+        m = c.values.copy()
+        for i, j in forbidden:
+            m[i, j] = m[j, i] = big
+        for i, j in forced:
+            m[[i, j]] = m[:, [i, j]] = big
+            m[i, j] = m[j, i] = c.values[i, j]
+        solution = hungarian_solve(m, start=parent)
+        key = max(parent_key, _node_bound(np.diag(m), solution))
+        if best.cost <= key * (1.0 + REL_TOL):
+            continue
+        if solution.is_symmetric:
+            grouping = Assignment(solution.permutation)
+            found = Candidate(grouping, assignment_cost(c, grouping))
+        else:
+            found = _repair(c, solution.permutation)
+            branch(solution, key, forbidden, forced)
+        best = min(best, found, key=lambda pick: pick.cost)
+    return best, min(best.cost, heap[0][0]) if heap else best.cost, nodes
+
+
+def quasi_optimal_matching(
+    c: CostMatrix, *, receivers: Sequence[Receiver] | None = None
+) -> MatchingReport:
+    """Best grouping by the bound solve, cycle repair and branch-and-bound.
+
+    Solves the matrix first, offering the SNR-order rotation as the guess: that
+    cost is the upper bound, and if the solution is already self-inverse it is
+    optimal among groupings and shipped. Otherwise its repair is the incumbent,
+    proved optimal when within ``REL_TOL`` of the single-out bound at odd n,
+    and else improved and proved by ``_branch_and_bound``. The cheapest of the
+    search's groupings and the two baselines is shipped, ties going to the
+    smaller partner array. A bound above the shipped cost by at most
+    ``REL_TOL`` relative is rounding and is lowered to it; a larger one raises.
     """
     # True SNR order when receivers are known. Otherwise descending diagonal:
     # diagonal entries are inverse single rates, so that is ascending rate,
@@ -156,28 +212,32 @@ def quasi_optimal_matching(
     base = hungarian_solve(c, guess=guess)
     if base.cost <= 0.0:
         raise ValueError("optimal assignment cost is zero; scheduling costs must be positive")
-    candidates = [] if base.is_symmetric else list(baselines.values())
-    solution = base
-    retries_used = 0
-    rng = np.random.default_rng(cfg.seed)
-    while not solution.is_symmetric and retries_used < cfg.max_retries:
-        retries_used += 1
-        solution = hungarian_solve(perturb(c, cfg.sigma, rng), start=base)
-    if solution.is_symmetric:
-        grouping = Assignment(solution.permutation)
-        candidates.append(Candidate(grouping, assignment_cost(c, grouping)))
-    best = min(candidates, key=lambda pick: (pick.cost, pick.assignment.partner))
-    if best.cost < base.cost * (1.0 - 1e-12):
+    nodes = 0
+    if base.is_symmetric:
+        grouping = Assignment(base.permutation)
+        found, lower = {"bound": Candidate(grouping, assignment_cost(c, grouping))}, base.cost
+    else:
+        found = {"repair": _repair(c, base.permutation), **baselines}
+        lower = _node_bound(np.diag(c.values), base)
+        start = min(found.values(), key=lambda pick: pick.cost)
+        if start.cost > lower * (1.0 + REL_TOL):
+            # An unimproved incumbent ties itself and keeps its earlier name.
+            found["branch_and_bound"], lower, nodes = _branch_and_bound(c, base, start)
+    source = min(found, key=lambda name: (found[name].cost, found[name].assignment.partner))
+    best = found[source]
+    if best.cost < base.cost * (1.0 - REL_TOL):
         raise RuntimeError(
             f"grouping cost {best.cost!r} is below the assignment optimum {base.cost!r}"
         )
     bound = min(base.cost, best.cost)
     return MatchingReport(
         upper_bound_cost=bound,
+        lower_bound=min(max(lower, bound), best.cost),
         symmetric_assignment=best.assignment,
         symmetric_cost=best.cost,
         gap_fraction=best.cost / bound - 1.0,
-        retries_used=retries_used,
-        success=solution.is_symmetric,
+        source=source,
+        nodes=nodes,
+        success=best.cost <= lower * (1.0 + REL_TOL),
         baselines=baselines,
     )

@@ -31,11 +31,7 @@ from hmgroup.matching_core import (
     count_strategies,
     enumerate_involutions,
 )
-from hmgroup.strategies import (
-    PerturbConfig,
-    largest_diff_matching,
-    quasi_optimal_matching,
-)
+from hmgroup.strategies import largest_diff_matching, quasi_optimal_matching
 
 from conftest import COUNTEREXAMPLE_3X3, random_symmetric_cost
 
@@ -178,7 +174,6 @@ def test_criterion_05_per_trial_ordering_chain(table, capacity_model):
     completed = 0
     for snr_max in (7.0, 10.0, 13.0):
         model = BeamModel(snr_max_db=snr_max, n_receivers=50, seed=500)
-        cfg = PerturbConfig(seed=50)
         for t in range(20):
             receivers = sample_receivers(replace(model, seed=model.seed + t))
             try:
@@ -186,9 +181,7 @@ def test_criterion_05_per_trial_ordering_chain(table, capacity_model):
             except UnschedulableReceiverError:
                 continue
             completed += 1
-            matching = quasi_optimal_matching(
-                cost, replace(cfg, seed=cfg.seed + t), receivers=receivers
-            )
+            matching = quasi_optimal_matching(cost, receivers=receivers)
             r_bound = 1.0 / matching.upper_bound_cost
             r_quasi = 1.0 / matching.symmetric_cost
             r_ld = 1.0 / assignment_cost(cost, largest_diff_matching(receivers))
@@ -207,7 +200,6 @@ def test_criterion_06_heuristic_quality(table, capacity_model):
     # channel models, so only the regime is asserted: sub-1% median gap to
     # the upper bound and a success rate above 80%.
     beam = replace(BeamModel(), n_receivers=100)  # default beam otherwise
-    cfg = PerturbConfig()  # sigma 1e-3, 50 retries
     gaps = []
     successes = 0
     skipped = 0
@@ -218,9 +210,7 @@ def test_criterion_06_heuristic_quality(table, capacity_model):
         except UnschedulableReceiverError:
             skipped += 1
             continue
-        matching = quasi_optimal_matching(
-            cost, replace(cfg, seed=cfg.seed + t), receivers=receivers
-        )
+        matching = quasi_optimal_matching(cost, receivers=receivers)
         gaps.append(matching.gap_fraction)
         successes += matching.success
     completed = 50 - skipped
@@ -242,7 +232,6 @@ def test_criterion_07_quasi_optimal_beats_extreme_pairing(table, capacity_model)
     improved_config = None
     for snr_max in (7.0, 9.0, 13.0):
         model = BeamModel(snr_max_db=snr_max, n_receivers=40, seed=700)
-        cfg = PerturbConfig(seed=70)
         quasi_gains, ld_gains, strict = [], [], 0
         for t in range(12):
             receivers = sample_receivers(replace(model, seed=model.seed + t))
@@ -250,9 +239,7 @@ def test_criterion_07_quasi_optimal_beats_extreme_pairing(table, capacity_model)
                 cost = build_cost_matrix(receivers, table, capacity_model)
             except UnschedulableReceiverError:
                 continue
-            matching = quasi_optimal_matching(
-                cost, replace(cfg, seed=cfg.seed + t), receivers=receivers
-            )
+            matching = quasi_optimal_matching(cost, receivers=receivers)
             r_ts = 1.0 / assignment_cost(cost, Assignment.identity(40))
             r_ld = 1.0 / assignment_cost(cost, largest_diff_matching(receivers))
             r_quasi = 1.0 / matching.symmetric_cost
@@ -273,7 +260,7 @@ def test_criterion_07_quasi_optimal_beats_extreme_pairing(table, capacity_model)
 
 def test_criterion_08_assignment_structure_statistics(table, capacity_model):
     model = BeamModel(snr_max_db=12.0, n_receivers=10, seed=800)
-    summary = run_campaign(model, 20, PerturbConfig(seed=80), table, capacity_model)
+    summary = run_campaign(model, 20, table, capacity_model)
     matrix = summary.pair_probability
     sym_ok = np.array_equal(matrix, matrix.T)
     rows_ok = bool(np.abs(matrix.sum(axis=1) - 1.0).max() <= 1e-9)
@@ -305,19 +292,19 @@ def test_criterion_09_scale_sanity():
     solve_elapsed = time.perf_counter() - start
     assert solution.cost > 0.0
 
-    # many repeated values force the perturbation loop to engage at scale
+    # many repeated values force the branch-and-bound to engage at scale
     quantized = np.round(rng.uniform(0.5, 2.0, size=(500, 500)), 2)
     quantized = np.triu(quantized) + np.triu(quantized, 1).T
     c = CostMatrix(quantized)
     start = time.perf_counter()
-    matching = quasi_optimal_matching(c, PerturbConfig(max_retries=50, seed=90))
+    matching = quasi_optimal_matching(c)
     quasi_elapsed = time.perf_counter() - start
     ok = solve_elapsed < 5.0 and quasi_elapsed < 300.0
     report(
         "9 scale sanity",
         ok,
         f"solve 500x500 {solve_elapsed:.2f}s, heuristic {quasi_elapsed:.1f}s "
-        f"({matching.retries_used} retries, success={matching.success})",
+        f"({matching.nodes} nodes, success={matching.success})",
     )
     assert solve_elapsed < 5.0
     assert quasi_elapsed < 300.0
@@ -344,8 +331,8 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
 
     checks = {
         "count": run_twice(["count", "12"], None),
-        "solve": run_twice(["solve", "--cost-csv", str(cost_path), "--seed", "5"], "solve.json"),
-        "oracle": run_twice(["oracle", "--cost-csv", str(cost_path), "--seed", "5"], "oracle.json"),
+        "solve": run_twice(["solve", "--cost-csv", str(cost_path)], "solve.json"),
+        "oracle": run_twice(["oracle", "--cost-csv", str(cost_path)], "oracle.json"),
         "simulate": run_twice(
             ["simulate", "--snr-max", "11", "--receivers", "6", "--trials", "4", "--seed", "5"],
             "simulate.json",

@@ -22,12 +22,7 @@ from hmgroup.matching_core import (
     build_cost_matrix,
 )
 from hmgroup.rate_model import HierRateModel, default_modcod_table
-from hmgroup.strategies import (
-    PerturbConfig,
-    largest_diff_matching,
-    quasi_optimal_matching,
-    snr_sorted_order,
-)
+from hmgroup.strategies import largest_diff_matching, quasi_optimal_matching, snr_sorted_order
 
 
 class TestBeamModel:
@@ -109,7 +104,7 @@ class TestPairProbability:
                 cost = build_cost_matrix(receivers, table, capacity_model)
             except UnschedulableReceiverError:
                 continue
-            report = quasi_optimal_matching(cost, PerturbConfig(seed=t), receivers=receivers)
+            report = quasi_optimal_matching(cost, receivers=receivers)
             samples.append((receivers, report.symmetric_assignment))
         matrix = pair_probability_matrix(samples)
         assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
@@ -131,8 +126,7 @@ class TestRunCampaign:
         params.update(overrides)
         model = BeamModel(**params)
         return run_campaign(
-            model, 12, PerturbConfig(seed=1),
-            table=default_modcod_table(), rate_model=HierRateModel(),
+            model, 12, table=default_modcod_table(), rate_model=HierRateModel()
         )
 
     def test_deterministic(self):
@@ -177,18 +171,18 @@ class TestRunCampaign:
         monkeypatch.setattr(channel_sim, "sample_receivers", recording_sample)
         top = 2**64 - 1
         model = BeamModel(snr_max_db=12.0, n_receivers=4, seed=top)
-        summary = run_campaign(model, 2, PerturbConfig(seed=top), table, capacity_model)
+        summary = run_campaign(model, 2, table, capacity_model)
         assert summary.completed == 2
         assert drawn[1] == sample_receivers(replace(model, seed=0))
 
     def test_all_trials_skipped_raises(self, table, capacity_model):
         model = BeamModel(snr_max_db=-20.0, n_receivers=4, seed=0)
         with pytest.raises(UnschedulableReceiverError, match="every"):
-            run_campaign(model, 3, PerturbConfig(), table, capacity_model)
+            run_campaign(model, 3, table, capacity_model)
 
     def test_single_receiver_population_all_gains_zero(self, table, capacity_model):
         model = BeamModel(snr_max_db=15.0, n_receivers=1, seed=3)
-        summary = run_campaign(model, 5, PerturbConfig(), table, capacity_model)
+        summary = run_campaign(model, 5, table, capacity_model)
         for stats in summary.gains.values():
             assert stats.mean == 0.0
         assert np.array_equal(summary.pair_probability, np.eye(1))
@@ -196,16 +190,13 @@ class TestRunCampaign:
     def test_per_trial_efficiency_chain(self, table, capacity_model):
         # replicate the campaign's seed derivation and check the chain per trial
         model = BeamModel(snr_max_db=10.0, n_receivers=10, seed=30)
-        cfg = PerturbConfig(seed=4)
         for t in range(8):
             receivers = sample_receivers(replace(model, seed=model.seed + t))
             try:
                 cost = build_cost_matrix(receivers, table, capacity_model)
             except UnschedulableReceiverError:
                 continue
-            report = quasi_optimal_matching(
-                cost, replace(cfg, seed=cfg.seed + t), receivers=receivers
-            )
+            report = quasi_optimal_matching(cost, receivers=receivers)
             r_ts = 1.0 / assignment_cost(cost, Assignment.identity(10))
             r_ld = 1.0 / assignment_cost(cost, largest_diff_matching(receivers))
             r_quasi = 1.0 / report.symmetric_cost
@@ -229,7 +220,7 @@ def test_diagonal_mass_grows_where_pairing_gains_vanish():
     summaries = {}
     for label, factor in (("vanishing", 0.4), ("strong", 0.9)):
         model = HierRateModel(pair_table={(7.0, 7.0): factor * single})
-        summaries[label] = run_campaign(beam, 5, PerturbConfig(seed=6), table, model)
+        summaries[label] = run_campaign(beam, 5, table, model)
     diag_mass = {k: float(np.trace(s.pair_probability)) for k, s in summaries.items()}
     assert diag_mass["vanishing"] == 6.0  # identity in every trial
     assert diag_mass["strong"] == 0.0  # fully paired in every trial
@@ -240,8 +231,7 @@ def test_diagonal_mass_grows_where_pairing_gains_vanish():
 def test_summary_json_and_csv_serialization(tmp_path):
     model = BeamModel(snr_max_db=12.0, n_receivers=6, seed=11)
     summary = run_campaign(
-        model, 4, PerturbConfig(seed=2),
-        table=default_modcod_table(), rate_model=HierRateModel(),
+        model, 4, table=default_modcod_table(), rate_model=HierRateModel()
     )
     body = summary_to_json_dict(summary)
     assert body["trials"] == 4
@@ -259,7 +249,7 @@ def test_pair_probability_csv_matches_per_entry_repr(tmp_path):
     # The writer formats each distinct bit pattern once; the bytes must equal
     # formatting every entry on its own.
     campaign = run_campaign(
-        BeamModel(snr_max_db=12.0, n_receivers=40, seed=0), 3, PerturbConfig(seed=1),
+        BeamModel(snr_max_db=12.0, n_receivers=40, seed=0), 3,
         table=default_modcod_table(), rate_model=HierRateModel(),
     )
     assert campaign.completed == 3

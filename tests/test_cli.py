@@ -53,16 +53,17 @@ class TestCount:
 
 class TestSolve:
     def test_cost_matrix_input(self, cost_csv, capsys):
-        # the perturbation loop cannot make a grouping optimal on this matrix,
-        # so the baseline answer ships with exit code 1
-        code = run_cli("solve", "--cost-csv", str(cost_csv), "--seed", "3")
+        # the bound solve is a 3-cycle costing 8; its repair costs 9, which the
+        # single-out bound at odd n proves optimal without a search
+        code = run_cli("solve", "--cost-csv", str(cost_csv))
         record = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert record["schema"] == 1
+        assert code == 0
+        assert record["schema"] == 2
         assert record["upper_bound_cost"] == 8.0
         assert record["symmetric_cost"] == 9.0
         assert record["gap_fraction"] == pytest.approx(0.125)
-        assert record["success"] is False
+        assert record["success"] is True
+        assert (record["source"], record["nodes"], record["lower_bound"]) == ("repair", 0, 9.0)
         assert record["assignment"]["partner"] == [1, 3, 2]
         assert record["strategies"]["time_sharing"]["cost"] == 12.0
         assert record["upper_bound_efficiency"] == pytest.approx(0.125)
@@ -82,7 +83,7 @@ class TestSolve:
         )
 
     def test_snr_input_multi_receiver(self, snr_csv, capsys):
-        code = run_cli("solve", "--snr-csv", str(snr_csv), "--seed", "1")
+        code = run_cli("solve", "--snr-csv", str(snr_csv))
         record = json.loads(capsys.readouterr().out)
         assert code == 0
         assert record["n"] == 4
@@ -150,14 +151,16 @@ class TestSolve:
     @pytest.mark.parametrize(
         ("n", "code", "digest"),
         [
-            (120, 0, "0968deed69b3867a6e17b857ad191bdf3fbfc3d24b2ab597cfad2058297fe56f"),
-            (121, 1, "f7de01c99484ab5cd6e9c7a97b6621ba2d54fd6be97d9d52614b03b1e7fb959d"),
+            (120, 0, "830aa5dc271bed107e5a7fd5d24a0947a482796a4c20098d9846f5c10286e3a7"),
+            (121, 0, "cbeb377e1b2903fac2860f527a149b0a9835025e4652c9084241e04727b3ab15"),
         ],
     )
     def test_beam_report_is_byte_identical(self, tmp_path, capsys, n, code, digest):
-        # SHA-256 of the JSON report on a 12 dB beam population, recorded at
-        # commit 124ab07. Among tied optima a solver change can move the
-        # partner array without breaking any invariant; this pins it.
+        # SHA-256 of the schema-2 JSON report on a 12 dB beam population. Among
+        # tied optima a solver change can move the partner array without
+        # breaking any invariant; this pins it. At n = 120 the partner array is
+        # the one pinned since commit 124ab07; at n = 121 the repaired rotation
+        # is proved optimal by the single-out bound.
         receivers = sample_receivers(BeamModel(snr_max_db=12.0, n_receivers=n, seed=0))
         path = tmp_path / "beam.csv"
         path.write_text(
@@ -167,27 +170,40 @@ class TestSolve:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        ("seed", "code", "retries", "digest"),
+        ("seed", "nodes", "cost", "digest"),
         [
-            (216, 0, 20, "3818f881a26587501f798c7b3dce14ee21e7ac3575ae853ab76e7438f4c4c9f1"),
-            (205, 1, 50, "3e08942a2cb38b40034dc17b6e28106117d6e73888b6ddb1c518f415442b7aa1"),
+            (216, 5, 32.01, "18d130c907fb1b30bc8141a903dcbb074081f82dfb6be2a05e476cdfd00b82e4"),
+            (205, 8, 32.0, "48d37f2be0bf9e5e3c2665e729f142bff8f4f2c3260265b43378a7f32e00980e"),
         ],
     )
-    def test_perturbation_report_is_byte_identical(
-        self, tmp_path, capsys, seed, code, retries, digest
-    ):
+    def test_search_report_is_byte_identical(self, tmp_path, capsys, seed, nodes, cost, digest):
         # SHA-256 of the JSON report on a 60x60 symmetric hundredths matrix,
-        # recorded at commit 6637503, before the perturbed re-solves were
-        # warm-started: one search that succeeds after 20 retries and one that
-        # uses all 50 and falls back to a baseline.
+        # where the branch-and-bound proves the optimum. The perturbation loop
+        # this search replaced shipped 32.01 after 20 retries on the first and
+        # fell back to a 69.26 baseline after 50 on the second.
         m = np.random.default_rng(seed).integers(50, 201, (60, 60)) / 100
         m = np.triu(m) + np.triu(m, 1).T
         path = tmp_path / "ties.csv"
         path.write_text("".join(",".join(str(v) for v in row) + "\n" for row in m))
-        assert run_cli("solve", "--cost-csv", str(path)) == code
+        assert run_cli("solve", "--cost-csv", str(path)) == 0
         out = capsys.readouterr().out
-        assert json.loads(out)["retries_used"] == retries
+        record = json.loads(out)
+        assert (record["source"], record["nodes"]) == ("branch_and_bound", nodes)
+        assert record["symmetric_cost"] == record["lower_bound"] == cost
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+    def test_node_cap_exits_one(self, tmp_path, capsys, monkeypatch):
+        # exit 1 now means "no proof": the search stopped at its node cap
+        monkeypatch.setattr("hmgroup.strategies.NODE_CAP", 1)
+        m = np.random.default_rng(205).integers(50, 201, (60, 60)) / 100
+        m = np.triu(m) + np.triu(m, 1).T
+        path = tmp_path / "ties.csv"
+        path.write_text("".join(",".join(str(v) for v in row) + "\n" for row in m))
+        assert run_cli("solve", "--cost-csv", str(path)) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert (record["success"], record["nodes"]) == (False, 1)
+        assert record["lower_bound"] < record["symmetric_cost"]
 
 
 class TestOracle:
@@ -257,7 +273,6 @@ class TestSimulate:
     def test_invalid_flags_rejected_before_sampling(self, capsys):
         assert run_cli("simulate", "--receivers", "0") == 2
         assert run_cli("simulate", "--trials", "0") == 2
-        assert run_cli("simulate", "--sigma", "-1") == 2
 
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -290,17 +305,24 @@ class TestSimulate:
         assert (out.read_bytes(), csv_out.read_bytes()) == first
 
 
-@pytest.mark.parametrize("command", ["solve", "simulate"])
-def test_infinite_sigma_rejected(command, cost_csv, capsys):
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [("solve", "--sigma"), ("solve", "--max-retries"), ("solve", "--seed"),
+     ("oracle", "--seed"), ("simulate", "--sigma"), ("simulate", "--max-retries")],
+)
+def test_removed_search_flags_rejected(command, flag, cost_csv, capsys):
+    # schema 2 dropped the perturbation loop's flags: argparse exits 2 on them
     inputs = {
         "solve": ["--cost-csv", str(cost_csv)],
+        "oracle": ["--cost-csv", str(cost_csv)],
         "simulate": ["--receivers", "10", "--trials", "2", "--snr-max", "12"],
     }
-    code = run_cli(command, *inputs[command], "--sigma", "inf")
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, *inputs[command], flag, "1")
     captured = capsys.readouterr()
-    assert code == 2
+    assert exit_info.value.code == 2
     assert captured.out == ""
-    assert "error: sigma must be finite" in captured.err
+    assert f"unrecognized arguments: {flag} 1" in captured.err
 
 
 def test_module_entry_point_runs():

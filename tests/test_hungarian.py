@@ -20,7 +20,7 @@ from hmgroup.matching_core import (
     brute_force_optimal_symmetric,
     build_cost_matrix,
 )
-from hmgroup.strategies import perturb, snr_sorted_order
+from hmgroup.strategies import snr_sorted_order
 
 from conftest import random_symmetric_cost
 
@@ -173,6 +173,21 @@ def beam_costs(n: int, seeds=range(12)):
         yield c, rotation
 
 
+def oracle_optimum(m: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """A minimum-cost permutation and its cost: brute force up to n = 7, scipy above."""
+    if len(m) <= 7:
+        # the oracle reads only ``values`` and ``n``, so it takes any square matrix
+        return brute_force_optimal_permutation(SimpleNamespace(values=m, n=len(m)))
+    rows, cols = linear_sum_assignment(m)
+    return tuple(cols.tolist()), float(m[rows, cols].sum())
+
+
+def noisy_copy(c: CostMatrix, rng: np.random.Generator, sigma: float = 1e-3) -> CostMatrix:
+    """``c`` plus symmetric N(0, sigma^2) noise, clamped at zero."""
+    noise = np.triu(rng.normal(0.0, sigma, size=(c.n, c.n)))
+    return CostMatrix(np.maximum(c.values + noise + np.triu(noise, 1).T, 0.0))
+
+
 def cycle_length(perm) -> int:
     """Length of the permutation's cycle through 0."""
     j, length = perm[0], 1
@@ -221,6 +236,18 @@ class TestCertificate:
             checked += 1
         assert checked >= 2
 
+    def test_rotation_through_a_rounded_zero_cost_cycle_is_certified(self):
+        # The rotation ties the optimum here, but a zero-cost cycle of its
+        # residual graph sums to a tiny negative in floating point. The
+        # relative tolerance accepts it instead of running the O(n^3) solve.
+        ((c, rotation),) = beam_costs(499, seeds=[8])
+        assert _certify(c.values, rotation) is not None
+        solution = hungarian_solve(c, guess=rotation)
+        assert solution.permutation == tuple(rotation.tolist())
+        assert_duals_prove(c.values, solution)
+        rows, cols = linear_sum_assignment(c.values)
+        assert solution.cost == pytest.approx(float(c.values[rows, cols].sum()), rel=1e-12)
+
     @given(
         st.integers(min_value=1, max_value=9).flatmap(
             lambda n: st.tuples(
@@ -236,7 +263,7 @@ class TestCertificate:
         n = len(guess)
         m = np.array(entries, dtype=float).reshape(n, n) / 100
         c = CostMatrix(np.triu(m) + np.triu(m, 1).T)
-        optimum, oracle_cost = brute_force_optimal_permutation(c)
+        optimum, oracle_cost = oracle_optimum(c.values)
         solution = hungarian_solve(c, guess=optimum if offer_optimum else guess)
         assert solution.cost == pytest.approx(oracle_cost, rel=1e-12)
         assert_duals_prove(c.values, solution)
@@ -338,8 +365,7 @@ class TestWarmStart:
         if symmetric:
             m, other = (np.triu(x) + np.triu(x, 1).T for x in (m, other))
         solution = hungarian_solve(m, start=hungarian_solve(other))
-        # the oracle reads only ``values`` and ``n``, so it takes any square matrix
-        _, oracle_cost = brute_force_optimal_permutation(SimpleNamespace(values=m, n=n))
+        _, oracle_cost = oracle_optimum(m)
         assert solution.cost == pytest.approx(oracle_cost, rel=1e-12)
         assert_duals_prove(m, solution)
 
@@ -363,7 +389,7 @@ class TestWarmStart:
         bases = [hungarian_solve(beam, guess=rotation), hungarian_solve(ties)]
         for c, base in zip([beam, ties], bases):
             for _ in range(10):
-                copy = perturb(c, 1e-3, rng)
+                copy = noisy_copy(c, rng)
                 cold, warm = hungarian_solve(copy), hungarian_solve(copy, start=base)
                 assert warm.is_symmetric == cold.is_symmetric
                 assert warm.cost == pytest.approx(cold.cost, rel=1e-12)
