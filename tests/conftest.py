@@ -39,3 +39,10 @@ def random_symmetric_cost(rng: np.random.Generator, n: int, quantized: bool = Fa
         m = rng.uniform(0.1, 2.0, size=(n, n))
     m = np.triu(m) + np.triu(m, 1).T
     return CostMatrix(m)
+
+
+def hundredths_cost(seed: int, n: int = 60) -> CostMatrix:
+    """Symmetric matrix of hundredths 0.50-2.00; at n = 60 the bound solve of
+    seeds 205 and 216 is no grouping, so the branch-and-bound runs."""
+    m = np.random.default_rng(seed).integers(50, 201, (n, n)) / 100
+    return CostMatrix(np.triu(m) + np.triu(m, 1).T)

@@ -14,7 +14,7 @@ import hmgroup
 from hmgroup import BeamModel, sample_receivers
 from hmgroup.cli import main
 
-from conftest import COUNTEREXAMPLE_3X3
+from conftest import COUNTEREXAMPLE_3X3, hundredths_cost
 
 
 @pytest.fixture
@@ -181,10 +181,10 @@ class TestSolve:
         # where the branch-and-bound proves the optimum. The perturbation loop
         # this search replaced shipped 32.01 after 20 retries on the first and
         # fell back to a 69.26 baseline after 50 on the second.
-        m = np.random.default_rng(seed).integers(50, 201, (60, 60)) / 100
-        m = np.triu(m) + np.triu(m, 1).T
         path = tmp_path / "ties.csv"
-        path.write_text("".join(",".join(str(v) for v in row) + "\n" for row in m))
+        path.write_text(
+            "".join(",".join(str(v) for v in row) + "\n" for row in hundredths_cost(seed).values)
+        )
         assert run_cli("solve", "--cost-csv", str(path)) == 0
         out = capsys.readouterr().out
         record = json.loads(out)
@@ -196,10 +196,10 @@ class TestSolve:
     def test_node_cap_exits_one(self, tmp_path, capsys, monkeypatch):
         # exit 1 now means "no proof": the search stopped at its node cap
         monkeypatch.setattr("hmgroup.strategies.NODE_CAP", 1)
-        m = np.random.default_rng(205).integers(50, 201, (60, 60)) / 100
-        m = np.triu(m) + np.triu(m, 1).T
         path = tmp_path / "ties.csv"
-        path.write_text("".join(",".join(str(v) for v in row) + "\n" for row in m))
+        path.write_text(
+            "".join(",".join(str(v) for v in row) + "\n" for row in hundredths_cost(205).values)
+        )
         assert run_cli("solve", "--cost-csv", str(path)) == 1
         record = json.loads(capsys.readouterr().out)
         assert (record["success"], record["nodes"]) == (False, 1)

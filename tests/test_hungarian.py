@@ -380,8 +380,8 @@ class TestWarmStart:
                 hungarian_solve(counterexample, start=wrong)
 
     def test_warm_and_cold_agree_on_perturbed_copies(self):
-        # A symmetric perturbed copy without clamped entries has at most one
-        # optimal involution, so where the search stops cannot depend on the start.
+        # A symmetric noisy copy without clamped entries has at most one optimal
+        # involution, so an involutive optimum cannot depend on the start.
         (beam, rotation), = beam_costs(121, seeds=[0])
         m = np.random.default_rng(110).integers(50, 201, (200, 200)) / 100
         ties = CostMatrix(np.triu(m) + np.triu(m, 1).T)

@@ -1,6 +1,7 @@
 """Tests for the exact grouping search (repair, single-out bound, branch-and-bound)
 and the baseline groupings."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,7 +33,7 @@ from hmgroup.strategies import (
     quasi_optimal_matching,
 )
 
-from conftest import random_symmetric_cost
+from conftest import hundredths_cost, random_symmetric_cost
 
 
 @st.composite
@@ -51,18 +52,16 @@ def hundredths_matrices(draw, max_n: int = 12, top: int = 200, unit: float = 0.0
 def grouping_optimum(c: CostMatrix) -> float:
     """Exact minimum grouping cost: brute force up to n = 9, else networkx
     blossom on matrices of hundredths when networkx is installed."""
-    if c.n > 9 and np.allclose(c.values * 100, np.rint(c.values * 100), rtol=0, atol=1e-9):
-        try:
-            return blossom_optimum(c)
-        except pytest.skip.Exception:
-            pass
+    hundredths = np.allclose(c.values * 100, np.rint(c.values * 100), rtol=0, atol=1e-9)
+    if c.n > 9 and hundredths and importlib.util.find_spec("networkx"):
+        return blossom_optimum(c)
     return brute_force_optimal_symmetric(c)[1]
 
 
 def assert_report_invariants(c: CostMatrix, report) -> None:
     """An involution, no cheaper than the bound or the best grouping, no dearer
-    than either baseline, bounded below by ``lower_bound``, and the optimum
-    whenever ``success`` claims a proof."""
+    than either baseline, bounded below by ``lower_bound``, and proved to be
+    the optimum (these small matrices never reach the node cap)."""
     partner = report.symmetric_assignment.partner
     assert all(partner[j] == i for i, j in enumerate(partner))
     assert report.symmetric_cost >= report.upper_bound_cost
@@ -228,7 +227,7 @@ class TestQuasiOptimalMatching:
         ("scale", "absorbed"), [(1.0 + 1e-13, True), (1.0 + 1e-9, False)]
     )
     def test_bound_above_a_grouping_is_rounding_or_an_error(self, monkeypatch, scale, absorbed):
-        # the unperturbed solve is already the identity grouping, costing 2
+        # the bound solve is already the identity grouping, costing 2
         def inflated(c, guess=None, start=None):
             solution = hungarian_solve(c, guess, start)
             return replace(solution, cost=solution.cost * scale)
@@ -281,8 +280,7 @@ class TestQuasiOptimalMatching:
             return returned[-1]
 
         monkeypatch.setattr("hmgroup.strategies.hungarian_solve", spy)
-        m = np.random.default_rng(205).integers(50, 201, (60, 60)) / 100
-        report = quasi_optimal_matching(CostMatrix(np.triu(m) + np.triu(m, 1).T))
+        report = quasi_optimal_matching(hundredths_cost(205))
         assert report.source == "branch_and_bound" and report.nodes == len(starts) - 1 > 1
         # a node's start is the bound solve or an earlier node's solution
         for k, start in enumerate(starts[1:], start=1):
@@ -320,8 +318,7 @@ class TestQuasiOptimalMatching:
             assert report == quasi_optimal_matching(c)
 
     def test_node_cap_ships_the_incumbent_unproved(self, monkeypatch):
-        m = np.random.default_rng(205).integers(50, 201, (60, 60)) / 100
-        c = CostMatrix(np.triu(m) + np.triu(m, 1).T)
+        c = hundredths_cost(205)
         monkeypatch.setattr(strategies, "NODE_CAP", 1)
         report = quasi_optimal_matching(c)
         assert report.nodes == 1
@@ -333,11 +330,14 @@ class TestQuasiOptimalMatching:
 
 
 def three_families(rng: np.random.Generator, n: int) -> list[CostMatrix]:
-    """Symmetric matrices: uniform, three-valued hundredths, and integers 1-3."""
+    """Symmetric matrices: uniform, three-valued hundredths, and integers 1-3,
+    plus uniform with a dear diagonal, whose best groupings leave no single
+    at even n (where the single-out bound must not apply)."""
     raw = [
         rng.uniform(0.1, 2.0, (n, n)),
         rng.choice([0.50, 0.51, 0.52], (n, n)),
         rng.integers(1, 4, (n, n)).astype(float),
+        rng.uniform(0.1, 2.0, (n, n)) + 4.0 * np.eye(n),
     ]
     return [CostMatrix(np.triu(m) + np.triu(m, 1).T) for m in raw]
 
@@ -414,9 +414,11 @@ class TestExactSearch:
                     searched += nodes > 0
         assert searched >= 10
 
-    def test_single_out_bound_never_exceeds_the_optimum(self):
+    def test_node_bound_never_exceeds_the_optimum(self):
+        # the single-out term at odd n; at even n a grouping may have no
+        # single, and the dear-diagonal family shows the term would overshoot
         rng = np.random.default_rng(61)
-        for n in (3, 5, 7, 9, 11):
+        for n in range(2, 12):
             for _ in range(2):
                 for c in three_families(rng, n):
                     base = hungarian_solve(c)
