@@ -254,13 +254,12 @@ class TestQuasiOptimalMatching:
     def test_only_the_bound_solve_is_offered_the_rotation(
         self, monkeypatch, counterexample, table, capacity_model, snrs, rotation
     ):
-        offered, starts, returned = [], [], []
+        offered, starts = [], []
 
         def spy(c, guess=None, start=None):
             offered.append(None if guess is None else tuple(guess.tolist()))
             starts.append(start)
-            returned.append(hungarian_solve(c, guess, start))
-            return returned[-1]
+            return hungarian_solve(c, guess, start)
 
         monkeypatch.setattr("hmgroup.strategies.hungarian_solve", spy)
         receivers = None if snrs is None else [Receiver(i + 1, x) for i, x in enumerate(snrs)]
@@ -272,9 +271,10 @@ class TestQuasiOptimalMatching:
         assert len(starts) == 1 + report.nodes
 
     def test_every_node_is_warm_started_from_its_parent(self, monkeypatch):
-        starts, returned = [], []
+        guesses, starts, returned = [], [], []
 
         def spy(c, guess=None, start=None):
+            guesses.append(guess)
             starts.append(start)
             returned.append(hungarian_solve(c, guess, start))
             return returned[-1]
@@ -282,7 +282,9 @@ class TestQuasiOptimalMatching:
         monkeypatch.setattr("hmgroup.strategies.hungarian_solve", spy)
         report = quasi_optimal_matching(hundredths_cost(205))
         assert report.source == "branch_and_bound" and report.nodes == len(starts) - 1 > 1
-        # a node's start is the bound solve or an earlier node's solution
+        # only the bound solve gets the rotation; a node's start is the bound
+        # solve or an earlier node's solution
+        assert guesses[0] is not None and guesses[1:] == [None] * report.nodes
         for k, start in enumerate(starts[1:], start=1):
             assert any(start is solution for solution in returned[:k])
 
