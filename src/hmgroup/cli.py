@@ -23,20 +23,11 @@ from pathlib import Path
 from . import __version__
 from .channel_sim import BeamModel, run_campaign, summary_to_json_dict, write_pair_probability_csv
 from .matching_core import (
-    Assignment,
-    Receiver,
-    brute_force_optimal_permutation,
-    brute_force_optimal_symmetric,
-    build_cost_matrix,
-    count_strategies,
-    load_cost_csv,
+    Assignment, Receiver, brute_force_optimal_permutation, brute_force_optimal_symmetric,
+    build_cost_matrix, count_strategies, load_cost_csv,
 )
 from .rate_model import (
-    HierRateModel,
-    ModcodParseError,
-    _csv_rows,
-    default_modcod_table,
-    load_modcod_table,
+    HierRateModel, ModcodParseError, _csv_rows, default_modcod_table, load_modcod_table,
     load_pair_rate_table,
 )
 from .strategies import Candidate, quasi_optimal_matching
@@ -110,8 +101,7 @@ def _one_based(assignment: Assignment) -> list[int]:
 
 def cmd_solve(args) -> int:
     if args.cost_csv is not None:
-        cost = load_cost_csv(args.cost_csv)
-        receivers = None
+        cost, receivers = load_cost_csv(args.cost_csv), None
     else:
         receivers = load_snr_csv(args.snr_csv)
         cost = build_cost_matrix(receivers, _load_table(args), _build_rate_model(args))
@@ -222,9 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_rate_flags(p):
         p.add_argument("--modcod", metavar="PATH", help="MODCOD CSV (default: bundled table)")
         p.add_argument(
-            "--pair-model",
-            choices=("capacity", "table"),
-            default="capacity",
+            "--pair-model", choices=("capacity", "table"), default="capacity",
             help="pair-rate model (default: balanced superposition capacity)",
         )
         p.add_argument("--pair-table", metavar="PATH", help="pair-rate CSV for --pair-model table")

@@ -22,8 +22,8 @@ from .hungarian import REL_TOL, HungarianSolution, hungarian_solve
 from .matching_core import Assignment, CostMatrix, Receiver, assignment_cost
 
 __all__ = [
-    "NODE_CAP", "Candidate", "MatchingReport", "snr_sorted_order", "largest_diff_matching",
-    "quasi_optimal_matching",
+    "NODE_CAP", "Candidate", "MatchingReport", "perturb", "snr_sorted_order",
+    "largest_diff_matching", "quasi_optimal_matching",
 ]
 
 NODE_CAP = 1000  # branch-and-bound nodes solved before the incumbent ships unproved
@@ -58,6 +58,21 @@ class MatchingReport:
     nodes: int
     success: bool
     baselines: dict[str, Candidate]
+
+
+def perturb(c: CostMatrix, sigma: float, seed: int | np.random.Generator) -> CostMatrix:
+    """``c`` plus symmetric N(0, sigma^2) noise, clamped at zero; ``c`` is untouched.
+    Draws fill the upper triangle, diagonal included, row-major, and are mirrored.
+    ``seed`` is an int or a ``Generator``, which this advances. Tests and what-if
+    runs use it for noisy copies; the search does not."""
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    n = c.n
+    noise = np.random.default_rng(seed).normal(0.0, sigma, size=n * (n + 1) // 2)
+    eps = np.zeros((n, n))
+    eps[np.triu(np.ones((n, n), dtype=bool))] = noise  # row-major, as triu_indices
+    eps += np.triu(eps, 1).T  # mirror: the lower triangle was 0
+    return CostMatrix(np.maximum(c.values + eps, 0.0))
 
 
 def _long_cycles(perm: Sequence[int]) -> list[np.ndarray]:

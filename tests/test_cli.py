@@ -305,24 +305,34 @@ class TestSimulate:
         assert (out.read_bytes(), csv_out.read_bytes()) == first
 
 
-@pytest.mark.parametrize(
-    ("command", "flag"),
-    [("solve", "--sigma"), ("solve", "--max-retries"), ("solve", "--seed"),
-     ("oracle", "--seed"), ("simulate", "--sigma"), ("simulate", "--max-retries")],
-)
-def test_removed_search_flags_rejected(command, flag, cost_csv, capsys):
-    # schema 2 dropped the perturbation loop's flags: argparse exits 2 on them
+def assert_flag_unknown(cost_csv, capsys, command, *flag) -> None:
     inputs = {
         "solve": ["--cost-csv", str(cost_csv)],
         "oracle": ["--cost-csv", str(cost_csv)],
         "simulate": ["--receivers", "10", "--trials", "2", "--snr-max", "12"],
     }
     with pytest.raises(SystemExit) as exit_info:
-        run_cli(command, *inputs[command], flag, "1")
+        run_cli(command, *inputs[command], *flag)
     captured = capsys.readouterr()
     assert exit_info.value.code == 2
     assert captured.out == ""
-    assert f"unrecognized arguments: {flag} 1" in captured.err
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_infinite_sigma_rejected(command, cost_csv, capsys):
+    # schema 2 has no --sigma at all: argparse exits 2 before any solve
+    assert_flag_unknown(cost_csv, capsys, command, "--sigma", "inf")
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [("solve", "--max-retries"), ("solve", "--seed"), ("oracle", "--seed"),
+     ("simulate", "--max-retries")],
+)
+def test_removed_search_flags_rejected(command, flag, cost_csv, capsys):
+    # schema 2 dropped the perturbation loop's other flags
+    assert_flag_unknown(cost_csv, capsys, command, flag, "1")
 
 
 def test_module_entry_point_runs():

@@ -20,7 +20,7 @@ from hmgroup.matching_core import (
     brute_force_optimal_symmetric,
     build_cost_matrix,
 )
-from hmgroup.strategies import snr_sorted_order
+from hmgroup.strategies import perturb, snr_sorted_order
 
 from conftest import random_symmetric_cost
 
@@ -180,12 +180,6 @@ def oracle_optimum(m: np.ndarray) -> tuple[tuple[int, ...], float]:
         return brute_force_optimal_permutation(SimpleNamespace(values=m, n=len(m)))
     rows, cols = linear_sum_assignment(m)
     return tuple(cols.tolist()), float(m[rows, cols].sum())
-
-
-def noisy_copy(c: CostMatrix, rng: np.random.Generator, sigma: float = 1e-3) -> CostMatrix:
-    """``c`` plus symmetric N(0, sigma^2) noise, clamped at zero."""
-    noise = np.triu(rng.normal(0.0, sigma, size=(c.n, c.n)))
-    return CostMatrix(np.maximum(c.values + noise + np.triu(noise, 1).T, 0.0))
 
 
 def cycle_length(perm) -> int:
@@ -389,7 +383,7 @@ class TestWarmStart:
         bases = [hungarian_solve(beam, guess=rotation), hungarian_solve(ties)]
         for c, base in zip([beam, ties], bases):
             for _ in range(10):
-                copy = noisy_copy(c, rng)
+                copy = perturb(c, 1e-3, rng)
                 cold, warm = hungarian_solve(copy), hungarian_solve(copy, start=base)
                 assert warm.is_symmetric == cold.is_symmetric
                 assert warm.cost == pytest.approx(cold.cost, rel=1e-12)

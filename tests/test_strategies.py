@@ -1,5 +1,5 @@
-"""Tests for the exact grouping search (repair, single-out bound, branch-and-bound)
-and the baseline groupings."""
+"""Tests for the exact grouping search (repair, single-out bound, branch-and-bound),
+the baseline groupings and the ``perturb`` noise helper."""
 
 import importlib.util
 import os
@@ -30,6 +30,7 @@ from hmgroup.strategies import (
     _node_bound,
     _repair,
     largest_diff_matching,
+    perturb,
     quasi_optimal_matching,
 )
 
@@ -74,6 +75,59 @@ def assert_report_invariants(c: CostMatrix, report) -> None:
     assert report.lower_bound <= optimum * (1.0 + 1e-12)
     assert report.success
     assert report.symmetric_cost == pytest.approx(optimum, rel=1e-12)
+
+
+class TestPerturb:
+    def test_deterministic(self, counterexample):
+        first = perturb(counterexample, 1e-3, seed=1)
+        second = perturb(counterexample, 1e-3, seed=1)
+        assert np.array_equal(first.values, second.values)
+        assert not np.array_equal(first.values, perturb(counterexample, 1e-3, seed=2).values)
+
+    def test_output_symmetric_and_input_untouched(self, counterexample):
+        before = counterexample.values.copy()
+        out = perturb(counterexample, 1e-2, seed=3)
+        assert np.array_equal(out.values, out.values.T)
+        assert np.array_equal(counterexample.values, before)
+
+    def test_vanishing_sigma_is_identity(self, counterexample):
+        out = perturb(counterexample, 1e-300, seed=0)
+        assert np.array_equal(out.values, counterexample.values)
+
+    def test_negative_entries_clamped_to_zero(self):
+        c = CostMatrix(np.full((6, 6), 1e-6))
+        out = perturb(c, 1.0, seed=0)
+        assert (out.values >= 0.0).all()
+        assert (out.values == 0.0).any()
+
+    def test_six_sigma_tail(self):
+        # ~1.4e6 draws at sigma 1e-3: the largest deviation stays below 6e-3
+        n = 1200
+        sigma = 1e-3
+        c = CostMatrix(np.ones((n, n)))
+        out = perturb(c, sigma, seed=123)
+        assert np.abs(out.values - c.values).max() < 6.0 * sigma
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_matches_triu_indices_reference_bit_for_bit(self, n):
+        c = random_symmetric_cost(np.random.default_rng(n), n)
+        iu, ju = np.triu_indices(n)
+        for seed in range(4):
+            noise = np.random.default_rng(seed).normal(0.0, 0.5, size=iu.size)
+            eps = np.zeros((n, n))
+            eps[iu, ju] = noise
+            eps[ju, iu] = noise
+            expected = np.maximum(c.values + eps, 0.0)
+            assert perturb(c, 0.5, seed).values.tobytes() == expected.tobytes()
+
+    def test_sigma_must_be_positive(self, counterexample):
+        with pytest.raises(ValueError):
+            perturb(counterexample, 0.0, seed=0)
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_non_finite_sigma_is_named(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            perturb(CostMatrix(np.eye(2)), sigma, seed=0)
 
 
 class TestTimeSharing:
