@@ -183,19 +183,25 @@ def run_campaign(
     )
 
 
-def summary_to_json_dict(summary: SimulationSummary) -> dict:
-    """JSON-ready dict of every field; the pair-probability matrix becomes nested lists."""
+def summary_to_json_dict(summary: SimulationSummary, with_matrix: bool = True) -> dict:
+    """JSON-ready dict of every field; the pair-probability matrix becomes nested
+    lists, or is left out without ``with_matrix``."""
     body = asdict(summary)
-    body["pair_probability"] = summary.pair_probability.tolist()
-    return body
+    matrix = body.pop("pair_probability")
+    return {**body, "pair_probability": matrix.tolist()} if with_matrix else body
 
 
 def write_pair_probability_csv(matrix: np.ndarray, dest) -> None:
     """Square CSV of the pair-probability matrix, for external heatmap plotting."""
-    bits = np.asarray(matrix, dtype=float).view(np.int64)
-    # Entries are k / trials: format each bit pattern (so -0.0 stays -0.0) once.
-    distinct = np.unique(bits)
-    cells = np.array([repr(float(x)) for x in distinct.view(float)], dtype=object)
-    text = "\n".join(",".join(cells[np.searchsorted(distinct, r)].tolist()) for r in bits) + "\n"
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    bits = np.ascontiguousarray(matrix, dtype=float).view(np.int64)
+    # Entries are k / trials: format each bit pattern (so -0.0 stays -0.0) once,
+    # into NUL-padded cells ending in "," or, last in a row, in a newline.
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    text = [repr(float(x)) for x in distinct.view(float)]
+    at = np.searchsorted(distinct, bits)
+    cells = np.array([t + "," for t in text], dtype="S")[at]
+    cells[:, -1] = np.array([t + "\n" for t in text], dtype="S")[at[:, -1]]
+    raw = cells.view(np.uint8)
+    with open(dest, "wb") as fh:
+        fh.write(raw[raw != 0].tobytes())

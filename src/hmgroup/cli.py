@@ -144,16 +144,13 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     summary = run_campaign(model, args.trials, _load_table(args), _build_rate_model(args))
-    body = summary_to_json_dict(summary)
-    pair_probability = body.pop("pair_probability")
     record = {
         "schema": SCHEMA_VERSION,
         "command": "simulate",
         "model": asdict(model),
-        "summary": body,
+        "summary": summary_to_json_dict(summary, with_matrix=args.out is None),
     }
     if args.out is None:
-        record["summary"]["pair_probability"] = pair_probability
         _emit(record, None, "json")
     else:
         out = Path(args.out)

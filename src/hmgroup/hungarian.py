@@ -2,22 +2,22 @@
 
 A guess is optimal exactly when its residual column graph (moving the row on
 column k to column j costs ``w[k, j]``) has no negative cycle. A 2-exchange
-test rejects most bad guesses at once; otherwise a few Gauss-Seidel sweeps
-seed shortest-path potentials, and a vectorized Bellman-Ford pass of at most
-n + 1 rounds proves them a fixpoint to within ``REL_TOL`` of the guess's
-mean entry per arc, so a zero-cost cycle that rounds to a tiny negative sum
-does not reject an optimal guess. Without that proof, rows are inserted
-one at a time into a shortest-augmenting-path solve (Jonker & Volgenant
-1987): a Dijkstra search over columns keeps path lengths on reduced costs
-and, on reaching a free column at length d, moves each scanned column's
-duals once, by d less its own length. A ``start``, the solution of a nearby
-matrix, warm-starts that loop: its column duals are kept, a row reduction
-makes them feasible, rows whose start column is still tight keep it, and
-only the other rows are inserted. Scan order is fixed (rows ascending, path
-length minima resolved to the lowest column index), so identical inputs
-always produce identical outputs. Both paths return duals with
-``u[i] + v[j] <= c[i, j]`` (to within that tolerance on a certified guess),
-tight on the permutation.
+test rejects most bad guesses at once. Otherwise min-plus prefix scans, O(n)
+each, down the columns in potential order seed shortest-path potentials, and
+a vectorized Bellman-Ford pass of at most n + 1 rounds proves them a fixpoint
+to within ``REL_TOL`` of the guess's mean entry per arc, so a zero-cost cycle
+that rounds to a tiny negative sum does not reject an optimal guess. Without
+that proof, rows are inserted one at a time into a shortest-augmenting-path
+solve (Jonker & Volgenant 1987): a Dijkstra search over columns keeps path
+lengths on reduced costs and, on reaching a free column at length d, moves
+each scanned column's duals once, by d less its own length. A ``start``, the
+solution of a nearby matrix, warm-starts that loop: its column duals are
+kept, a row reduction makes them feasible, rows whose start column is still
+tight keep it, and only the other rows are inserted. Scan order is fixed
+(rows ascending, path length minima resolved to the lowest column index), so
+identical inputs always produce identical outputs. Both paths return duals
+with ``u[i] + v[j] <= c[i, j]`` (to within that tolerance on a certified
+guess), tight on the permutation.
 
 On a symmetric cost matrix the returned permutation is the unconstrained
 optimum and therefore only a bound for grouping purposes: its cost can be
@@ -69,21 +69,19 @@ def _certify(cost: np.ndarray, guess: np.ndarray) -> HungarianSolution | None:
     buf = np.empty((n, n))
     if (np.add(w, w.T, out=buf) < -tol).any():  # a 2-exchange improves the guess
         return None
-    # Shortest-path potentials from a zero start are column duals. One Jacobi
-    # round (w's diagonal is 0), then Gauss-Seidel sweeps in descending and
-    # ascending potential order, run down a sorted guess's long chains (two
-    # sweeps at even n, four at odd). Each v[j] stays a walk length, so the
-    # rounds after are the proof; in them only a column whose potential dropped
-    # last round can lower another.
+    # Shortest-path potentials from a zero start are column duals: one Jacobi
+    # round (w's diagonal is 0), then pairs of min-plus prefix scans down the
+    # columns in descending and ascending potential order, where a sorted guess's
+    # paths run (x = min(v, cummin(v - C) + C), C the arcs' prefix sums). In the
+    # proof rounds after, only a column whose potential dropped can lower another.
     v = w.min(axis=0)
-    wt, row = np.ascontiguousarray(w.T), buf[0]
-    for sweep in range(4):
-        lowered = False
-        for j in np.argsort(v if sweep % 2 else -v, kind="stable"):
-            best = np.add(v, wt[j], out=row).min()
-            if best < v[j]:
-                v[j], lowered = best, True
-        if not lowered:
+    for _ in range(n):
+        before = v.copy()
+        for sign in (-1.0, 1.0):
+            seq = np.argsort(sign * v, kind="stable")
+            chain = np.concatenate(([0.0], w[seq[:-1], seq[1:]].cumsum()))
+            v[seq] = np.minimum(v[seq], np.minimum.accumulate(v[seq] - chain) + chain)
+        if not (v < before - tol).any():
             break
     changed = np.arange(n)
     for _ in range(n + 1):

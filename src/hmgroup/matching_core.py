@@ -144,10 +144,11 @@ def build_cost_matrix(
             )
         diag[pos] = 1.0 / rate
     rates = pair_rate_matrix(np.array([r.snr_db for r in receivers]), model)
-    # argwhere scans row-major, so the first hit is the first bad upper-triangle pair
-    bad = np.argwhere(np.triu((rates <= 0.0) | ~np.isfinite(rates), k=1))
-    if bad.size:
-        i, j = (receivers[int(k)] for k in bad[0])
+    bad = (rates <= 0.0) | ~np.isfinite(rates)
+    np.fill_diagonal(bad, False)  # the diagonal holds no pair
+    if bad.any():
+        # argwhere scans row-major, so the first hit is the first bad upper-triangle pair
+        i, j = (receivers[int(k)] for k in np.argwhere(np.triu(bad, k=1))[0])
         raise UnschedulableReceiverError(
             f"pair (receiver {i.index}, receiver {j.index}) has non-positive rate"
         )
@@ -220,15 +221,13 @@ def brute_force_optimal_symmetric(c: CostMatrix) -> tuple[Assignment, float]:
     Ties are broken toward the lexicographically smallest partner array.
     """
     _check_enumeration_cap(c.n)
-    values = c.values
-    rows = np.arange(c.n)
+    values, rows = c.values, np.arange(c.n)
     best_partner: tuple[int, ...] | None = None
     best_cost = math.inf
     for partner in _involutions(list(range(c.n)), list(range(c.n))):
         cost = float(values[rows, np.array(partner)].sum())
         if cost < best_cost or (cost == best_cost and partner < best_partner):
-            best_cost = cost
-            best_partner = partner
+            best_cost, best_partner = cost, partner
     assert best_partner is not None
     return Assignment(best_partner), best_cost
 

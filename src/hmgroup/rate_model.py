@@ -111,9 +111,7 @@ class ModcodTable:
         if math.isnan(snr_db):
             raise ValueError("snr_db must not be NaN")
         pos = bisect_right(self._thresholds, snr_db)
-        if pos == 0:
-            return None
-        return self.entries[pos - 1]
+        return self.entries[pos - 1] if pos else None
 
 
 def single_rate(snr_db: float, table: ModcodTable) -> float:
@@ -186,16 +184,13 @@ def pair_rate_matrix(snrs_db: np.ndarray, model: HierRateModel) -> np.ndarray:
     else:
         s = _db_to_linear(snrs)
         rates = _balanced_superposition_rate(np.minimum(s[iu], s[ju]), np.maximum(s[iu], s[ju]))
-    out[iu, ju] = rates
-    out[ju, iu] = rates
+    out[iu, ju] = out[ju, iu] = rates
     return out
 
 
 def _parse_code_rate(text: str) -> float:
     text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    return float(Fraction(text)) if "/" in text else float(text)
 
 
 def _open_source(source) -> IO[str]:

@@ -88,11 +88,11 @@ def _long_cycles(perm: Sequence[int]) -> list[np.ndarray]:
     return cycles
 
 
-def _repair(c: CostMatrix, perm: Sequence[int]) -> Candidate:
-    """Involution from ``perm``: 1- and 2-cycles kept, each longer cycle split into
-    its cheapest alternating pairs, one receiver single on an odd cycle."""
-    partner, m = np.array(perm, dtype=np.intp), c.values
-    for cycle in _long_cycles(perm):
+def _repaired(m: np.ndarray, perm: Sequence[int], cycles: list[np.ndarray]) -> np.ndarray:
+    """Partner array of an involution from ``perm``: 1- and 2-cycles kept, each of its
+    long ``cycles`` split into its cheapest alternating pairs, one single if odd."""
+    partner = np.array(perm, dtype=np.intp)
+    for cycle in cycles:
         k, nxt = len(cycle), np.roll(cycle, -1)
         pair = m[cycle, nxt] + m[nxt, cycle]  # pair t joins cycle[t] and cycle[t + 1]
         if k % 2 == 0:
@@ -107,7 +107,12 @@ def _repair(c: CostMatrix, perm: Sequence[int]) -> Candidate:
             partner[cycle[single]] = cycle[single]
         ring = np.roll(cycle, -first)[:k]
         partner[ring[0::2]], partner[ring[1::2]] = ring[1::2], ring[0::2]
-    grouping = Assignment(tuple(partner.tolist()))
+    return partner
+
+
+def _repair(c: CostMatrix, perm: Sequence[int]) -> Candidate:
+    """``_repaired`` on all of ``perm``'s long cycles, with its cost on ``c``."""
+    grouping = Assignment(tuple(_repaired(c.values, perm, _long_cycles(perm)).tolist()))
     return Candidate(grouping, assignment_cost(c, grouping))
 
 
@@ -164,13 +169,13 @@ def _branch_and_bound(
     big = 4.0 * c.n * float(c.values.max()) + 1.0
     heap, order = [], count(0, -1)
 
-    def branch(solution, key, forbidden, forced):
-        cycle = min(_long_cycles(solution.permutation), key=len)
+    def branch(solution, cycles, key, forbidden, forced):
+        cycle = min(cycles, key=len)
         arc = (int(cycle[0]), int(cycle[1]))
         heapq.heappush(heap, (key, next(order), forbidden + (arc,), forced, solution))
         heapq.heappush(heap, (key, next(order), forbidden, forced + (arc,), solution))
 
-    branch(base, _node_bound(np.diag(c.values), base), (), ())
+    branch(base, _long_cycles(base.permutation), _node_bound(np.diag(c.values), base), (), ())
     nodes = 0
     while heap and best.cost > heap[0][0] * (1.0 + REL_TOL) and nodes < NODE_CAP:
         parent_key, _, forbidden, forced, parent = heapq.heappop(heap)
@@ -185,13 +190,13 @@ def _branch_and_bound(
         key = max(parent_key, _node_bound(np.diag(m), solution))
         if best.cost <= key * (1.0 + REL_TOL):
             continue
-        if solution.is_symmetric:
-            grouping = Assignment(solution.permutation)
-            found = Candidate(grouping, assignment_cost(c, grouping))
-        else:
-            found = _repair(c, solution.permutation)
-            branch(solution, key, forbidden, forced)
-        best = min(best, found, key=lambda pick: pick.cost)
+        cycles = _long_cycles(solution.permutation)  # none on an involution
+        partner = _repaired(c.values, solution.permutation, cycles)
+        if cycles:
+            branch(solution, cycles, key, forbidden, forced)
+        cost = float(c.values[np.arange(c.n), partner].sum())  # as assignment_cost
+        if cost < best.cost:  # a tie keeps the incumbent
+            best = Candidate(Assignment(tuple(partner.tolist())), cost)
     return best, min(best.cost, heap[0][0]) if heap else best.cost, nodes
 
 

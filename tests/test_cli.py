@@ -264,6 +264,28 @@ class TestSimulate:
         record = json.loads(capsys.readouterr().out)
         assert len(record["summary"]["pair_probability"]) == 4
 
+    @pytest.mark.parametrize(
+        ("seed", "digest", "stdout_digest"),
+        [
+            (1, "657df05885ffaf0c46847f03b8680808fb7da76264556090fb667bbfa4219989",
+             "a0a4939091ed702dfa4fa6e58f9ee4efffc4586de59a4a07fa41a011a0254dd4"),
+            (2, "539b50fd103446333c2e0042e5302916dc53339d8889000a1cb86a96360b5aec",
+             "05abf5d55562fe158c2a18f28f4bdc1bd1947e8d8e9c4a6c082ddb6028f7bc57"),
+        ],
+    )
+    def test_campaign_report_is_byte_identical(self, tmp_path, capsys, seed, digest, stdout_digest):
+        # SHA-256 of the summary JSON followed by the pair-probability CSV of a
+        # 500-receiver 12 dB campaign, and of the same campaign on stdout. Seed
+        # 1 skips one of its two trials; seed 2 solves both.
+        args = ["simulate", "--snr-max", "12", "--receivers", "500", "--trials", "2",
+                "--seed", str(seed)]  # fmt: skip
+        out = tmp_path / "campaign.json"
+        assert run_cli(*args, "--out", str(out)) == 0
+        written = out.read_bytes() + (tmp_path / "campaign_pair_probability.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
+        assert run_cli(*args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
     def test_single_receiver_all_gains_zero(self, capsys):
         run_cli("simulate", "--receivers", "1", "--trials", "3", "--snr-max", "12")
         record = json.loads(capsys.readouterr().out)

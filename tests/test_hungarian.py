@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from hmgroup import BeamModel, HierRateModel, default_modcod_table, sample_receivers
-from hmgroup.hungarian import _certify, hungarian_solve
+from hmgroup.hungarian import REL_TOL, _certify, hungarian_solve
 from hmgroup.matching_core import (
     CostMatrix,
     UnschedulableReceiverError,
@@ -200,6 +200,24 @@ def assert_duals_prove(c: np.ndarray, solution) -> None:
     assert solution.u.sum() + solution.v.sum() == pytest.approx(solution.cost, rel=1e-12)
 
 
+def assert_bellman_ford_potentials(c: np.ndarray, guess: np.ndarray) -> None:
+    """The certificate's column duals are the guess's shortest-path potentials:
+    plain Jacobi rounds from a zero start over its residual column graph."""
+    n = len(guess)
+    row_of = np.argsort(guess)
+    w = c[row_of] - c[row_of, np.arange(n)][:, None]
+    tol = REL_TOL * float(c[row_of, np.arange(n)].sum()) / n
+    v = np.zeros(n)
+    for _ in range(n + 1):
+        lowered = np.minimum(v, (v[:, None] + w).min(axis=0))
+        if np.array_equal(lowered, v):
+            break
+        v = lowered
+    solution = _certify(c, guess)
+    assert solution is not None and solution.permutation == tuple(guess.tolist())
+    assert np.abs(solution.v - v).max() <= tol
+
+
 class TestCertificate:
     @pytest.mark.parametrize("n", [2, 3, 40, 41])
     def test_beam_rotation_is_certified_optimal(self, n):
@@ -229,6 +247,20 @@ class TestCertificate:
             assert_duals_prove(c.values, solution)
             checked += 1
         assert checked >= 2
+
+    @pytest.mark.parametrize("n", [121, 499, 500])
+    def test_certificate_duals_are_the_shortest_path_potentials(self, n):
+        checked = 0
+        for c, rotation in beam_costs(n, seeds=range(6)):
+            assert_bellman_ford_potentials(c.values, rotation)
+            checked += 1
+        assert checked >= 2
+
+    def test_certificate_duals_off_the_chain(self):
+        # The shortest-path tree of a random matrix's optimum is no chain in
+        # potential order, so the Bellman-Ford proof does most of the work.
+        m = np.random.default_rng(110).uniform(0.0, 1.0, size=(200, 200))
+        assert_bellman_ford_potentials(m, np.array(hungarian_solve(m).permutation))
 
     def test_rotation_through_a_rounded_zero_cost_cycle_is_certified(self):
         # The rotation ties the optimum here, but a zero-cost cycle of its
@@ -282,7 +314,7 @@ class TestCertificate:
         assert np.array_equal(guessed.u, plain.u) and np.array_equal(guessed.v, plain.v)
 
     def test_guess_no_two_exchange_improves_is_the_plain_solve(self):
-        # The guess passes the 2-exchange test, so the sweeps and the
+        # The guess passes the 2-exchange test, so the prefix scans and the
         # vectorized rounds run, but it is not optimal.
         m = np.random.default_rng(1).integers(1, 20, (6, 6)) / 10
         c = np.triu(m) + np.triu(m, 1).T
