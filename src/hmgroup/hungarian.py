@@ -9,15 +9,15 @@ to within ``REL_TOL`` of the guess's mean entry per arc, so a zero-cost cycle
 that rounds to a tiny negative sum does not reject an optimal guess. Without
 that proof, rows are inserted one at a time into a shortest-augmenting-path
 solve (Jonker & Volgenant 1987): a Dijkstra search over columns keeps path
-lengths on reduced costs and, on reaching a free column at length d, moves
-each scanned column's duals once, by d less its own length. A ``start``, the
-solution of a nearby matrix, warm-starts that loop: its column duals are
-kept, a row reduction makes them feasible, rows whose start column is still
-tight keep it, and only the other rows are inserted. Scan order is fixed
-(rows ascending, path length minima resolved to the lowest column index), so
-identical inputs always produce identical outputs. Both paths return duals
-with ``u[i] + v[j] <= c[i, j]`` (to within that tolerance on a certified
-guess), tight on the permutation.
+lengths on reduced costs; on reaching a free column at length d it recomputes
+predecessors along the path alone and moves each scanned column's duals once,
+by d less its own length. A ``start``, the solution of a nearby matrix,
+warm-starts that loop: its column duals are kept, a row reduction makes them
+feasible, rows whose start column is still tight keep it, and only the other
+rows are inserted. Scan order is fixed (rows ascending, path length minima
+resolved to the lowest column index), so identical inputs always produce
+identical outputs. Both paths return duals with ``u[i] + v[j] <= c[i, j]``
+(to within that tolerance on a certified guess), tight on the permutation.
 
 On a symmetric cost matrix the returned permutation is the unconstrained
 optimum and therefore only a bound for grouping purposes: its cost can be
@@ -115,42 +115,42 @@ def hungarian_solve(c, guess=None, start=None) -> HungarianSolution:
     rows = range(n)  # rows still to insert
     if start is not None:
         keep = np.asarray(start.permutation, dtype=np.intp)
-        if keep.shape != (n,) or np.shape(start.v) != (n,):
-            raise ValueError(f"start must solve a {n}x{n} matrix")
+        if np.shape(start.v) != (n,) or not np.array_equal(np.sort(keep), np.arange(n)):
+            raise ValueError(f"start must solve a {n}x{n} matrix: a permutation of 0..{n - 1}")
         v = np.array(start.v, dtype=float)
         u = (cost - v).min(axis=1)  # row reduction: feasible duals
         tight = cost[np.arange(n), keep] - u - v[keep] <= 0.0
         col_row[keep[tight]] = np.flatnonzero(tight)
         rows = np.flatnonzero(~tight).tolist()
-    prev_col = np.zeros(n, dtype=np.intp)
     for row in rows:
         col_row[n] = row
         dist = np.full(n, np.inf)  # path lengths of the open columns
         v_open = v.copy()  # -inf on scanned columns keeps them out of path
-        scanned, reach = [], []
-        i0, j0, d = row, n, 0.0
+        cols, lens = [n], [0.0]  # step t scans the row on column cols[t], reached at lens[t]
         while True:
+            i0, d = col_row[cols[-1]], lens[-1]
             path = np.subtract(cost[i0], v_open)
             path += d - u[i0]
-            better = path < dist
-            prev_col[better] = j0
             np.minimum(dist, path, out=dist)
             j0 = int(dist.argmin())  # ties resolve to the lowest column
-            d = dist[j0]
             if col_row[j0] == n:
                 break
-            scanned.append(j0)
-            reach.append(d)
+            cols.append(j0)
+            lens.append(dist[j0])
             dist[j0], v_open[j0] = np.inf, -np.inf
-            i0 = col_row[j0]
-        u[row] += d
-        gain = d - np.array(reach)
-        u[col_row[scanned]] += gain
-        v[scanned] -= gain
-        while j0 != n:  # flip the alternating path
-            j_prev = int(prev_col[j0])
-            col_row[j0] = col_row[j_prev]
-            j0 = j_prev
+        d, steps, lens = dist[j0], col_row[cols], np.array(lens)  # steps[t]: step t's row
+        # Flip the path. A column's predecessor is the first step that reached it at its
+        # final length, in the search's own float operations: what a strict < recorded.
+        j, t, length = j0, len(cols), d
+        while t > 1:
+            reached = (cost[steps[:t], j] - v[j]) + (lens[:t] - u[steps[:t]]) == length
+            t = int(reached.argmax())
+            col_row[j] = steps[t]
+            j, length = cols[t], lens[t]
+        col_row[j] = row  # only the root's row reached j (or j is the root)
+        gain = d - lens
+        u[steps] += gain  # the inserted row, on the root at length 0, gains d
+        v[cols[1:]] -= gain[1:]
     row_col = np.empty(n, dtype=np.intp)
     row_col[col_row[:n]] = np.arange(n)
     return _solution(cost, row_col, v)

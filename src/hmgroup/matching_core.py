@@ -8,6 +8,7 @@ efficiency the grouping offers to every receiver.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .rate_model import (
-    HierRateModel, ModcodParseError, ModcodTable, _csv_rows, pair_rate_matrix, single_rate
+    HierRateModel, ModcodParseError, ModcodTable, _open_source, pair_rate_matrix, single_rate
 )
 
 __all__ = [
@@ -251,7 +252,24 @@ def brute_force_optimal_permutation(c: CostMatrix) -> tuple[tuple[int, ...], flo
 
 def load_cost_csv(source) -> CostMatrix:
     """Read a square cost matrix from CSV (one row per line, no header, n rows)."""
-    rows = list(_csv_rows(source, "cost CSV"))
+    with _open_source(source) as fh:
+        text = fh.read()
+        # One C parse of the non-blank lines (csv ends a line at "\r", "\n" or "\r\n"),
+        # its floats equal to float()'s bit for bit. It is skipped where it would warn
+        # (no data) or strip "\x1c"-"\x1f" around a number, which float() rejects.
+        lines = [line for line in text.replace("\r", "\n").split("\n") if line.strip()]
+        if lines and not any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+            try:
+                values = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+            except ValueError:
+                values = None
+            if np.shape(values) == (len(lines), len(lines)):
+                return CostMatrix(values)
+        # Any other file is walked as csv reads it, so errors name the same data row.
+        fh.seek(0)
+        rows = [(no, row) for no, row in enumerate(csv.reader(fh), 1) if any(map(str.strip, row))]
+    if not rows:
+        raise ModcodParseError("cost CSV contains no data rows")
     n = len(rows)
     values = np.empty((n, n))
     for i, (row_no, row) in enumerate(rows):
@@ -262,4 +280,3 @@ def load_cost_csv(source) -> CostMatrix:
         except ValueError as exc:
             raise ModcodParseError(str(exc), row=row_no) from None
     return CostMatrix(values)
-

@@ -205,30 +205,27 @@ def _open_source(source) -> IO[str]:
 
 
 def _csv_rows(
-    source, what: str, header: list[str] | None = None, n_fields: int | None = None
+    source, what: str, header: list[str], n_fields: int
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(data-row number, fields)`` for each non-blank row of a CSV source.
 
-    Checks ``header`` and ``n_fields`` when given. Rows are numbered from 1
-    after the header, blank rows included; ``what`` names the source in errors.
-    A source without data rows is rejected only once it is exhausted.
+    Checks ``header`` and ``n_fields``. Rows are numbered from 1 after the
+    header, blank rows included; ``what`` names the source in errors. A source
+    without data rows is rejected only once it is exhausted.
     """
     with _open_source(source) as fh:
         reader = csv.reader(fh)
-        if header is not None:
-            try:
-                got = next(reader)
-            except StopIteration:
-                raise ModcodParseError(f"empty {what}") from None
-            if [h.strip() for h in got] != header:
-                raise ModcodParseError(
-                    f"expected header {','.join(header)!r}, got {','.join(got)!r}"
-                )
+        try:
+            got = next(reader)
+        except StopIteration:
+            raise ModcodParseError(f"empty {what}") from None
+        if [h.strip() for h in got] != header:
+            raise ModcodParseError(f"expected header {','.join(header)!r}, got {','.join(got)!r}")
         any_rows = False
         for row_no, row in enumerate(reader, start=1):
             if not any(cell.strip() for cell in row):
                 continue
-            if n_fields is not None and len(row) != n_fields:
+            if len(row) != n_fields:
                 raise ModcodParseError(f"expected {n_fields} fields, got {len(row)}", row=row_no)
             any_rows = True
             yield row_no, row

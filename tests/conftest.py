@@ -46,3 +46,18 @@ def hundredths_cost(seed: int, n: int = 60) -> CostMatrix:
     seeds 205 and 216 is no grouping, so the branch-and-bound runs."""
     m = np.random.default_rng(seed).integers(50, 201, (n, n)) / 100
     return CostMatrix(np.triu(m) + np.triu(m, 1).T)
+
+
+def perturb(c: CostMatrix, sigma: float, seed: int | np.random.Generator) -> CostMatrix:
+    """``c`` plus symmetric N(0, sigma^2) noise, clamped at zero; ``c`` is untouched.
+    Draws fill the upper triangle, diagonal included, row-major, and are mirrored.
+    ``seed`` is an int or a ``Generator``, which this advances. Tests use it for
+    noisy copies."""
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    n = c.n
+    noise = np.random.default_rng(seed).normal(0.0, sigma, size=n * (n + 1) // 2)
+    eps = np.zeros((n, n))
+    eps[np.triu(np.ones((n, n), dtype=bool))] = noise  # row-major, as triu_indices
+    eps += np.triu(eps, 1).T  # mirror: the lower triangle was 0
+    return CostMatrix(np.maximum(c.values + eps, 0.0))

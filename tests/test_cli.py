@@ -37,6 +37,19 @@ def run_cli(*argv: str) -> int:
     return main(list(argv))
 
 
+def assert_search_report(tmp_path, capsys, c, nodes: int, cost: float, digest: str) -> None:
+    """`solve --cost-csv` on ``c`` proves ``cost`` optimal after ``nodes`` nodes and
+    prints the JSON report whose SHA-256 is ``digest``."""
+    path = tmp_path / "ties.csv"
+    path.write_text("".join(",".join(str(v) for v in row) + "\n" for row in c.values))
+    assert run_cli("solve", "--cost-csv", str(path)) == 0
+    out = capsys.readouterr().out
+    record = json.loads(out)
+    assert (record["source"], record["nodes"]) == ("branch_and_bound", nodes)
+    assert record["symmetric_cost"] == record["lower_bound"] == cost
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestCount:
     def test_known_values(self, capsys):
         assert run_cli("count", "2") == 0
@@ -181,16 +194,13 @@ class TestSolve:
         # where the branch-and-bound proves the optimum. The perturbation loop
         # this search replaced shipped 32.01 after 20 retries on the first and
         # fell back to a 69.26 baseline after 50 on the second.
-        path = tmp_path / "ties.csv"
-        path.write_text(
-            "".join(",".join(str(v) for v in row) + "\n" for row in hundredths_cost(seed).values)
-        )
-        assert run_cli("solve", "--cost-csv", str(path)) == 0
-        out = capsys.readouterr().out
-        record = json.loads(out)
-        assert (record["source"], record["nodes"]) == ("branch_and_bound", nodes)
-        assert record["symmetric_cost"] == record["lower_bound"] == cost
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_search_report(tmp_path, capsys, hundredths_cost(seed), nodes, cost, digest)
+
+    def test_long_search_report_is_byte_identical(self, tmp_path, capsys):
+        # A 200x200 matrix, as in the ties-solve benchmark, whose search solves
+        # 95 warm-started nodes: it pins many more augmenting paths.
+        digest = "896b18e61aef6052daf3d57432bc6667e7a8a309e4c6222658256eb8ca2e0c85"
+        assert_search_report(tmp_path, capsys, hundredths_cost(17, 200), 95, 101.52, digest)
 
 
     def test_node_cap_exits_one(self, tmp_path, capsys, monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from hmgroup import BeamModel, HierRateModel, default_modcod_table, sample_receivers
-from hmgroup.hungarian import REL_TOL, _certify, hungarian_solve
+from hmgroup.hungarian import REL_TOL, _certify, _solution, hungarian_solve
 from hmgroup.matching_core import (
     CostMatrix,
     UnschedulableReceiverError,
@@ -20,9 +20,9 @@ from hmgroup.matching_core import (
     brute_force_optimal_symmetric,
     build_cost_matrix,
 )
-from hmgroup.strategies import perturb, snr_sorted_order
+from hmgroup.strategies import snr_sorted_order
 
-from conftest import random_symmetric_cost
+from conftest import hundredths_cost, perturb, random_symmetric_cost
 
 
 class TestCounterexample:
@@ -404,6 +404,9 @@ class TestWarmStart:
         ]:
             with pytest.raises(ValueError, match="3x3"):
                 hungarian_solve(counterexample, start=wrong)
+        for permutation in [(0, 0, 0), (0, 1, 5), (-1, 0, 1)]:  # right size, no permutation
+            with pytest.raises(ValueError, match="3x3"):
+                hungarian_solve(np.ones((3, 3)), start=replace(start, permutation=permutation))
 
     def test_warm_and_cold_agree_on_perturbed_copies(self):
         # A symmetric noisy copy without clamped entries has at most one optimal
@@ -423,6 +426,102 @@ class TestWarmStart:
                     assert warm.permutation == cold.permutation
                 hits += cold.is_symmetric
         assert hits > 0  # the permutations were compared at least once
+
+
+def eager_solve(cost: np.ndarray, start=None):
+    """The row-insertion loop as it was before predecessors became lazy: every
+    strict improvement of a column's path length records the scanning column as
+    its predecessor. The reference the solver must match bit for bit."""
+    n = cost.shape[0]
+    col_row = np.full(n + 1, n, dtype=np.intp)
+    u, v = np.zeros(n), np.zeros(n)
+    rows = range(n)
+    if start is not None:
+        keep = np.asarray(start.permutation, dtype=np.intp)
+        v = np.array(start.v, dtype=float)
+        u = (cost - v).min(axis=1)
+        tight = cost[np.arange(n), keep] - u - v[keep] <= 0.0
+        col_row[keep[tight]] = np.flatnonzero(tight)
+        rows = np.flatnonzero(~tight).tolist()
+    prev_col = np.zeros(n, dtype=np.intp)
+    for row in rows:
+        col_row[n] = row
+        dist = np.full(n, np.inf)
+        v_open = v.copy()
+        scanned, reach = [], []
+        i0, j0, d = row, n, 0.0
+        while True:
+            path = np.subtract(cost[i0], v_open)
+            path += d - u[i0]
+            better = path < dist
+            prev_col[better] = j0
+            np.minimum(dist, path, out=dist)
+            j0 = int(dist.argmin())
+            d = dist[j0]
+            if col_row[j0] == n:
+                break
+            scanned.append(j0)
+            reach.append(d)
+            dist[j0], v_open[j0] = np.inf, -np.inf
+            i0 = col_row[j0]
+        u[row] += d
+        gain = d - np.array(reach)
+        u[col_row[scanned]] += gain
+        v[scanned] -= gain
+        while j0 != n:
+            j_prev = int(prev_col[j0])
+            col_row[j0] = col_row[j_prev]
+            j0 = j_prev
+    row_col = np.empty(n, dtype=np.intp)
+    row_col[col_row[:n]] = np.arange(n)
+    return _solution(cost, row_col, v)
+
+
+class TestReferenceLoop:
+    @staticmethod
+    def node_matrices(m: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+        # A branch-and-bound node's edits: forbid one pair, or force it.
+        n = m.shape[0]
+        big = 4.0 * n * float(m.max()) + 1.0
+        i, j = rng.choice(n, 2, replace=False)
+        forbid, force = m.copy(), m.copy()
+        forbid[i, j] = forbid[j, i] = big
+        force[[i, j]] = force[:, [i, j]] = big
+        force[i, j], force[j, i] = m[i, j], m[j, i]
+        return [forbid, force]
+
+    def assert_matches_reference(self, m: np.ndarray, rng: np.random.Generator) -> None:
+        cold = hungarian_solve(m)
+        pairs = [(cold, eager_solve(m))]
+        if m.shape[0] > 1:
+            pairs += [
+                (hungarian_solve(node, start=cold), eager_solve(node, start=cold))
+                for node in self.node_matrices(m, rng)
+            ]
+        for got, want in pairs:
+            assert np.array_equal(got.permutation, want.permutation)
+            assert np.array_equal(got.cost, want.cost)
+            assert np.array_equal(got.u, want.u)
+            assert np.array_equal(got.v, want.v)
+
+    @pytest.mark.parametrize("kind", ["integers", "hundredths", "uniform"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_cold_and_warm_solves_match_the_eager_loop(self, kind, symmetric):
+        rng = np.random.default_rng(["integers", "hundredths", "uniform"].index(kind))
+        for n in range(1, 41):
+            if kind == "integers":
+                m = rng.integers(1, 4, (n, n)).astype(float)
+            elif kind == "hundredths":
+                m = rng.integers(50, 201, (n, n)) / 100
+            else:
+                m = rng.uniform(0.1, 2.0, (n, n))
+            if symmetric:
+                m = np.triu(m) + np.triu(m, 1).T
+            self.assert_matches_reference(m, rng)
+
+    @pytest.mark.parametrize("seed", [17, 22])
+    def test_benchmark_size_matches_the_eager_loop(self, seed):
+        self.assert_matches_reference(hundredths_cost(seed, 200).values, np.random.default_rng(seed))
 
 
 class TestTieResolution:

@@ -2,6 +2,8 @@
 
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from hmgroup.matching_core import (
     load_cost_csv,
 )
 from hmgroup.channel_sim import write_pair_probability_csv
-from hmgroup.rate_model import HierRateModel, pair_rate_matrix, single_rate
+from hmgroup.rate_model import HierRateModel, ModcodParseError, pair_rate_matrix, single_rate
 
 from conftest import random_symmetric_cost
 
@@ -308,3 +310,53 @@ class TestSerialization:
     def test_asymmetric_csv_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             load_cost_csv(io.StringIO("1.0,2.0\n3.0,1.0\n"))
+
+    def test_repr_written_doubles_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(14)
+        m = rng.uniform(0.0, 10.0, (60, 60)) * 10.0 ** rng.integers(-40, 40, (60, 60))
+        m = np.triu(m) + np.triu(m, 1).T
+        m[0, 0], m[1, 1], m[2, 2] = 5e-324, 1.7976931348623157e308, 0.0  # subnormal, max
+        text = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in m)
+        assert "e-" in text and "e+" in text  # repr's exponent forms are parsed too
+        path = tmp_path / "cost.csv"
+        path.write_text(text)
+        assert load_cost_csv(path).values.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_quoted_cells_and_line_endings(self, tmp_path, newline):
+        path = tmp_path / "cost.csv"
+        path.write_bytes(newline.join(['"1.5",2', "", '2.0," 1e0"', ""]).encode())
+        assert load_cost_csv(path).values.tolist() == [[1.5, 2.0], [2.0, 1.0]]
+        path.write_bytes(newline.join(["1.5,2", "", "2.0,x"]).encode())
+        with pytest.raises(ModcodParseError, match="^row 3: "):
+            load_cost_csv(path)
+
+    @pytest.mark.parametrize("blank", ["", " , "])
+    @pytest.mark.parametrize(
+        ("rows", "error"),
+        [
+            ("1.0,2.0\n2.0\n", "row 3: expected 2 entries, got 1"),
+            ("1.0,2.0\nx,1.0\n", "row 3: could not convert string to float: 'x'"),
+            ("1.0,2.0,3.0\n2.0,1.0,3.0\n", "row 2: expected 2 entries, got 3"),
+        ],
+    )
+    def test_bad_row_after_a_blank_row_reports_its_physical_row(self, blank, rows, error):
+        with pytest.raises(ModcodParseError, match=f"^{re.escape(error)}$"):
+            load_cost_csv(io.StringIO(blank + "\n" + rows))
+
+    @pytest.mark.parametrize("text", ["", "\n \n", " , \r\n"])
+    def test_no_data_rows_raises_without_a_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModcodParseError, match="no data rows"):
+                load_cost_csv(io.StringIO(text))
+
+    def test_cells_only_float_reads_are_still_read(self):
+        # Digit-group underscores and a blank " , " row between data rows.
+        c = load_cost_csv(io.StringIO("1_0,2\n , \n2,1\n"))
+        assert c.values.tolist() == [[10.0, 2.0], [2.0, 1.0]]
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_information_separators_are_rejected_as_float_rejects_them(self, sep):
+        with pytest.raises(ModcodParseError, match="^row 2: could not convert"):
+            load_cost_csv(io.StringIO(f"1,2\n2,1{sep}\n"))

@@ -2,6 +2,7 @@
 the baseline groupings and the ``perturb`` noise helper."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -30,11 +31,10 @@ from hmgroup.strategies import (
     _node_bound,
     _repair,
     largest_diff_matching,
-    perturb,
     quasi_optimal_matching,
 )
 
-from conftest import hundredths_cost, random_symmetric_cost
+from conftest import hundredths_cost, perturb, random_symmetric_cost
 
 
 @st.composite
@@ -515,7 +515,12 @@ class TestExactSearch:
             assert (report.source, report.success, report.nodes) == ("repair", True, 0)
             assert report.symmetric_cost < report.baselines["largest_diff"].cost
 
-    def test_search_never_imports_networkx(self):
+    def test_search_never_imports_networkx(self, tmp_path):
+        # Nor does a whole `solve --cost-csv` call load scipy or networkx.
+        path = tmp_path / "ties.csv"
+        path.write_text(
+            "".join(",".join(str(v) for v in row) + "\n" for row in hundredths_cost(205).values)
+        )
         code = (
             "import sys, numpy as np\n"
             "from hmgroup.matching_core import CostMatrix\n"
@@ -524,10 +529,15 @@ class TestExactSearch:
             "report = quasi_optimal_matching(CostMatrix(np.triu(m) + np.triu(m, 1).T))\n"
             "assert report.nodes > 0\n"
             "assert 'networkx' not in sys.modules\n"
+            "from hmgroup.cli import main\n"
+            "assert main(['solve', '--cost-csv', sys.argv[1]]) == 0\n"
+            "assert 'networkx' not in sys.modules and 'scipy' not in sys.modules\n"
         )
         paths = [str(Path(strategies.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+            [sys.executable, "-c", code, str(path)],
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["nodes"] > 0
