@@ -9,7 +9,7 @@ from .hungarian import HungarianSolution, hungarian_solve
 from .matching_core import (
     Assignment, CostMatrix, Receiver, UnschedulableReceiverError, assignment_cost,
     brute_force_optimal_permutation, brute_force_optimal_symmetric, build_cost_matrix,
-    count_strategies, enumerate_involutions, load_cost_csv,
+    count_strategies, load_cost_csv,
 )
 from .rate_model import (
     HierRateModel, ModcodEntry, ModcodParseError, ModcodTable, default_modcod_table,
@@ -24,7 +24,7 @@ __all__ = [
     "HierRateModel", "HungarianSolution", "MatchingReport", "ModcodEntry", "ModcodParseError",
     "ModcodTable", "Receiver", "SimulationSummary", "SkippedTrial", "UnschedulableReceiverError",
     "assignment_cost", "brute_force_optimal_permutation", "brute_force_optimal_symmetric",
-    "build_cost_matrix", "count_strategies", "default_modcod_table", "enumerate_involutions",
+    "build_cost_matrix", "count_strategies", "default_modcod_table",
     "hungarian_solve", "largest_diff_matching", "load_cost_csv", "load_modcod_table",
     "load_pair_rate_table", "pair_probability_matrix", "quasi_optimal_matching", "run_campaign",
     "sample_receivers", "single_rate",

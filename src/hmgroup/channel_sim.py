@@ -31,6 +31,8 @@ __all__ = [
     "write_pair_probability_csv",
 ]
 
+_ROW_BLOCK = 64  # matrix rows formatted per write
+
 @dataclass(frozen=True)
 class BeamModel:
     """Spot-beam population parameters; all SNRs are bounded by the center value."""
@@ -123,7 +125,7 @@ def pair_probability_matrix(samples: Iterable[tuple[Sequence[Receiver], Assignme
         trials += 1
     if counts is None:
         raise ValueError("at least one sample required")
-    return counts / trials
+    return np.divide(counts, trials, out=counts)
 
 
 def run_campaign(
@@ -186,7 +188,8 @@ def run_campaign(
 def summary_to_json_dict(summary: SimulationSummary, with_matrix: bool = True) -> dict:
     """JSON-ready dict of every field; the pair-probability matrix becomes nested
     lists, or is left out without ``with_matrix``."""
-    body = asdict(summary)
+    body = {**vars(summary), "skipped": tuple(map(asdict, summary.skipped))}  # no matrix copy
+    body["gains"] = {name: asdict(stats) for name, stats in summary.gains.items()}
     matrix = body.pop("pair_probability")
     return {**body, "pair_probability": matrix.tolist()} if with_matrix else body
 
@@ -194,14 +197,15 @@ def summary_to_json_dict(summary: SimulationSummary, with_matrix: bool = True) -
 def write_pair_probability_csv(matrix: np.ndarray, dest) -> None:
     """Square CSV of the pair-probability matrix, for external heatmap plotting."""
     bits = np.ascontiguousarray(matrix, dtype=float).view(np.int64)
-    # Entries are k / trials: format each bit pattern (so -0.0 stays -0.0) once,
-    # into NUL-padded cells ending in "," or, last in a row, in a newline.
-    ordered = np.sort(bits, axis=None)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    text = [repr(float(x)) for x in distinct.view(float)]
-    at = np.searchsorted(distinct, bits)
-    cells = np.array([t + "," for t in text], dtype="S")[at]
-    cells[:, -1] = np.array([t + "\n" for t in text], dtype="S")[at[:, -1]]
-    raw = cells.view(np.uint8)
+    # Entries are k / trials: per block of rows, format each bit pattern (so -0.0
+    # stays -0.0) once, into NUL-padded cells ending in "," or, last in a row, "\n".
     with open(dest, "wb") as fh:
-        fh.write(raw[raw != 0].tobytes())
+        for block in np.split(bits, range(_ROW_BLOCK, len(bits), _ROW_BLOCK)):
+            ordered = np.sort(block, axis=None)
+            distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+            text = [repr(float(x)) for x in distinct.view(float)]
+            at = np.searchsorted(distinct, block)
+            cells = np.array([t + "," for t in text], dtype="S")[at]
+            cells[:, -1] = np.array([t + "\n" for t in text], dtype="S")[at[:, -1]]
+            raw = cells.view(np.uint8)
+            fh.write(raw[raw != 0].tobytes())

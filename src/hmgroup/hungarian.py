@@ -64,7 +64,8 @@ def _certify(cost: np.ndarray, guess: np.ndarray) -> HungarianSolution | None:
     row_of = np.argsort(guess)  # the inverse permutation
     if guess.shape != (n,) or not np.array_equal(guess[row_of], np.arange(n)):
         raise ValueError(f"guess must be a permutation of 0..{n - 1}")
-    w = cost[row_of] - cost[row_of, np.arange(n)][:, None]
+    w = cost[row_of]
+    w -= w.diagonal().copy()[:, None]  # less each row's guess entry: a zero diagonal
     tol = REL_TOL * float(cost[row_of, np.arange(n)].sum()) / n  # duals feasible to tol
     buf = np.empty((n, n))
     if (np.add(w, w.T, out=buf) < -tol).any():  # a 2-exchange improves the guess
@@ -83,16 +84,15 @@ def _certify(cost: np.ndarray, guess: np.ndarray) -> HungarianSolution | None:
             v[seq] = np.minimum(v[seq], np.minimum.accumulate(v[seq] - chain) + chain)
         if not (v < before - tol).any():
             break
-    changed = np.arange(n)
+    part = np.add(w, v[:, None], out=buf)  # the first round relaxes every row of w
     for _ in range(n + 1):
-        part = buf[: changed.size]
-        np.take(w, changed, axis=0, out=part)
-        part += v[changed, None]
         best = part.min(axis=0)
         changed = np.flatnonzero(best < v - tol)
         if not changed.size:
             return _solution(cost, guess, v)
         v[changed] = best[changed]
+        part = np.take(w, changed, axis=0, out=buf[: changed.size])
+        part += v[changed, None]
     return None
 
 

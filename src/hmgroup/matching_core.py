@@ -28,7 +28,6 @@ __all__ = [
     "build_cost_matrix",
     "assignment_cost",
     "count_strategies",
-    "enumerate_involutions",
     "brute_force_optimal_symmetric",
     "brute_force_optimal_permutation",
     "load_cost_csv",
@@ -153,10 +152,11 @@ def build_cost_matrix(
         raise UnschedulableReceiverError(
             f"pair (receiver {i.index}, receiver {j.index}) has non-positive rate"
         )
+    rates *= 2.0  # in place: the rates become costs 1 / (2 R_ij)
     with np.errstate(divide="ignore"):  # the zero diagonal is overwritten below
-        values = 1.0 / (2.0 * rates)
-    np.fill_diagonal(values, diag)
-    return CostMatrix(values)
+        np.divide(1.0, rates, out=rates)
+    np.fill_diagonal(rates, diag)
+    return CostMatrix(rates)
 
 
 def assignment_cost(c: CostMatrix, x: Assignment) -> float:
@@ -206,14 +206,6 @@ def _check_enumeration_cap(n: int) -> None:
             f"enumerating involutions for n = {n} exceeds the cap of {ENUMERATION_CAP} "
             f"({count_strategies(n)} assignments)"
         )
-
-
-def enumerate_involutions(n: int) -> Iterator[Assignment]:
-    """Stream every grouping of n receivers exactly once; n is checked eagerly (1..12)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_enumeration_cap(n)
-    return (Assignment(partner) for partner in _involutions(list(range(n)), list(range(n))))
 
 
 def brute_force_optimal_symmetric(c: CostMatrix) -> tuple[Assignment, float]:

@@ -37,6 +37,7 @@ ALLOWED_BITS_PER_SYMBOL = (2, 3, 4, 5)
 
 _MODCOD_HEADER = ["modulation", "bits_per_symbol", "code_rate", "snr_threshold_db"]
 _PAIR_TABLE_HEADER = ["snr_i_db", "snr_j_db", "rate_bits_per_symbol"]
+_ROW_BLOCK = 64  # pair-rate rows computed at a time
 
 
 class ModcodParseError(ValueError):
@@ -171,19 +172,22 @@ def pair_rate_matrix(snrs_db: np.ndarray, model: HierRateModel) -> np.ndarray:
         raise ValueError("pair SNRs must be finite")
     n = snrs.shape[0]
     out = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    if model.pair_table is not None:
-        weak, strong = np.minimum(snrs[iu], snrs[ju]), np.maximum(snrs[iu], snrs[ju])
-        try:
-            rates = np.array(
-                [model.pair_table[pair] for pair in zip(weak.tolist(), strong.tolist())],
-                dtype=np.float64,
-            )
-        except KeyError as exc:
-            raise ValueError(f"pair table has no rate for SNR pair {exc.args[0]}") from None
-    else:
+    if model.pair_table is None:  # whole rows, both triangles, a block at a time
         s = _db_to_linear(snrs)
-        rates = _balanced_superposition_rate(np.minimum(s[iu], s[ju]), np.maximum(s[iu], s[ju]))
+        for lo in range(0, n, _ROW_BLOCK):
+            r = s[lo : lo + _ROW_BLOCK, None]
+            out[lo : lo + len(r)] = _balanced_superposition_rate(np.minimum(r, s), np.maximum(r, s))
+        np.fill_diagonal(out, 0.0)
+        return out
+    iu, ju = np.triu_indices(n, k=1)
+    weak, strong = np.minimum(snrs[iu], snrs[ju]), np.maximum(snrs[iu], snrs[ju])
+    try:
+        rates = np.array(
+            [model.pair_table[pair] for pair in zip(weak.tolist(), strong.tolist())],
+            dtype=np.float64,
+        )
+    except KeyError as exc:
+        raise ValueError(f"pair table has no rate for SNR pair {exc.args[0]}") from None
     out[iu, ju] = out[ju, iu] = rates
     return out
 
@@ -194,14 +198,15 @@ def _parse_code_rate(text: str) -> float:
 
 
 def _open_source(source) -> IO[str]:
+    # Decoded whole, so errors give file offsets; newline="" lets csv end rows at "\r".
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
+        source = Path(source).read_bytes()
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
     if not isinstance(data, str):
         raise TypeError(f"unsupported source type: {type(source)!r}")
-    return io.StringIO(data)
+    return io.StringIO(data, newline="")
 
 
 def _csv_rows(

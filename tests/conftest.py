@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hmgroup import HierRateModel, default_modcod_table
-from hmgroup.matching_core import CostMatrix
+from hmgroup.matching_core import Assignment, CostMatrix, _check_enumeration_cap, _involutions
 
 # Symmetric 3x3 matrix whose two optimal assignments are both 3-cycles, i.e.
 # no optimal assignment is self-inverse: the unconstrained optimum costs 8
@@ -61,3 +61,11 @@ def perturb(c: CostMatrix, sigma: float, seed: int | np.random.Generator) -> Cos
     eps[np.triu(np.ones((n, n), dtype=bool))] = noise  # row-major, as triu_indices
     eps += np.triu(eps, 1).T  # mirror: the lower triangle was 0
     return CostMatrix(np.maximum(c.values + eps, 0.0))
+
+
+def enumerate_involutions(n: int):
+    """Stream every grouping of n receivers exactly once; n is checked eagerly (1..12)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_enumeration_cap(n)
+    return (Assignment(partner) for partner in _involutions(list(range(n)), list(range(n))))

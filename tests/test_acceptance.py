@@ -29,11 +29,10 @@ from hmgroup.matching_core import (
     brute_force_optimal_symmetric,
     build_cost_matrix,
     count_strategies,
-    enumerate_involutions,
 )
 from hmgroup.strategies import largest_diff_matching, quasi_optimal_matching
 
-from conftest import COUNTEREXAMPLE_3X3, random_symmetric_cost
+from conftest import COUNTEREXAMPLE_3X3, enumerate_involutions, random_symmetric_cost
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

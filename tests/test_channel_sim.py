@@ -1,6 +1,6 @@
 """Tests for receiver sampling and the evaluation campaign."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -263,3 +263,51 @@ def test_pair_probability_csv_matches_per_entry_repr(tmp_path):
         write_pair_probability_csv(matrix, path)
         rows = (",".join(repr(float(x)) for x in row) for row in matrix)
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def whole_matrix_csv(matrix: np.ndarray) -> bytes:
+    """The pair-probability CSV as written before row blocks: one sort, lookup and
+    cell array over the whole matrix. The reference the blocks must match byte
+    for byte."""
+    bits = np.ascontiguousarray(matrix, dtype=float).view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    text = [repr(float(x)) for x in distinct.view(float)]
+    at = np.searchsorted(distinct, bits)
+    cells = np.array([t + "," for t in text], dtype="S")[at]
+    cells[:, -1] = np.array([t + "\n" for t in text], dtype="S")[at[:, -1]]
+    raw = cells.view(np.uint8)
+    return raw[raw != 0].tobytes()
+
+
+BLOCK = channel_sim._ROW_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 500, 501])
+def test_pair_probability_csv_row_blocks_match_the_whole_matrix(tmp_path, n):
+    rng = np.random.default_rng(n)
+    frequencies = rng.integers(0, 7, (n, n)) / 6  # k / trials, as a campaign writes
+    special = rng.random((n, n))
+    for value in (0.0, -0.0, np.nan, -np.nan):  # equal or unordered as floats, not as bits
+        special[rng.random((n, n)) < 0.1] = value
+    special[-1, -1] = -0.0  # the last cell ends the file
+    path = tmp_path / "pp.csv"
+    for matrix in (frequencies, special, np.full((n, n), -0.0)):
+        write_pair_probability_csv(matrix, path)
+        assert path.read_bytes() == whole_matrix_csv(matrix)
+
+
+def test_summary_json_dict_matches_asdict():
+    # Built without asdict's deep copy of the matrix, the dict is the same.
+    summary = run_campaign(
+        BeamModel(snr_max_db=12.0, n_receivers=8, seed=4), 6,
+        table=default_modcod_table(), rate_model=HierRateModel(),
+    )
+    assert summary.skipped and summary.completed
+    reference = asdict(summary)
+    matrix = reference.pop("pair_probability")
+    assert summary_to_json_dict(summary, with_matrix=False) == reference
+    with_matrix = summary_to_json_dict(summary)
+    assert list(with_matrix) == [*reference, "pair_probability"]
+    assert with_matrix == {**reference, "pair_probability": matrix.tolist()}
+    assert type(with_matrix["skipped"]) is tuple and type(with_matrix["gains"]) is dict

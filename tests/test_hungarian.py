@@ -218,6 +218,40 @@ def assert_bellman_ford_potentials(c: np.ndarray, guess: np.ndarray) -> None:
     assert np.abs(solution.v - v).max() <= tol
 
 
+def certify_reference(cost: np.ndarray, guess: np.ndarray):
+    """``_certify`` as it was before it reused its buffers: ``w`` built from a
+    fresh difference, and every proof round, the first included, copying its
+    rows of ``w`` into the buffer. The reference the certificate must match bit
+    for bit."""
+    n = cost.shape[0]
+    row_of = np.argsort(guess)
+    w = cost[row_of] - cost[row_of, np.arange(n)][:, None]
+    tol = REL_TOL * float(cost[row_of, np.arange(n)].sum()) / n
+    buf = np.empty((n, n))
+    if (np.add(w, w.T, out=buf) < -tol).any():
+        return None
+    v = w.min(axis=0)
+    for _ in range(n):
+        before = v.copy()
+        for sign in (-1.0, 1.0):
+            seq = np.argsort(sign * v, kind="stable")
+            chain = np.concatenate(([0.0], w[seq[:-1], seq[1:]].cumsum()))
+            v[seq] = np.minimum(v[seq], np.minimum.accumulate(v[seq] - chain) + chain)
+        if not (v < before - tol).any():
+            break
+    changed = np.arange(n)
+    for _ in range(n + 1):
+        part = buf[: changed.size]
+        np.take(w, changed, axis=0, out=part)
+        part += v[changed, None]
+        best = part.min(axis=0)
+        changed = np.flatnonzero(best < v - tol)
+        if not changed.size:
+            return _solution(cost, guess, v)
+        v[changed] = best[changed]
+    return None
+
+
 class TestCertificate:
     @pytest.mark.parametrize("n", [2, 3, 40, 41])
     def test_beam_rotation_is_certified_optimal(self, n):
@@ -255,6 +289,22 @@ class TestCertificate:
             assert_bellman_ford_potentials(c.values, rotation)
             checked += 1
         assert checked >= 2
+
+    @pytest.mark.parametrize("n", [121, 499, 500])
+    def test_certificate_matches_the_reference(self, n):
+        checked = 0
+        for c, rotation in beam_costs(n, seeds=range(6)):
+            got, want = _certify(c.values, rotation), certify_reference(c.values, rotation)
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+            checked += 1
+        assert checked >= 2
+        # Off the chain the proof rounds lower columns; a shuffled guess fails both.
+        m = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, n))
+        optimum = np.array(hungarian_solve(m).permutation)
+        got, want = _certify(m, optimum), certify_reference(m, optimum)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+        shuffled = np.random.default_rng(n).permutation(n)
+        assert _certify(m, shuffled) is None and certify_reference(m, shuffled) is None
 
     def test_certificate_duals_off_the_chain(self):
         # The shortest-path tree of a random matrix's optimum is no chain in

@@ -19,13 +19,12 @@ from hmgroup.matching_core import (
     brute_force_optimal_symmetric,
     build_cost_matrix,
     count_strategies,
-    enumerate_involutions,
     load_cost_csv,
 )
 from hmgroup.channel_sim import write_pair_probability_csv
 from hmgroup.rate_model import HierRateModel, ModcodParseError, pair_rate_matrix, single_rate
 
-from conftest import random_symmetric_cost
+from conftest import enumerate_involutions, random_symmetric_cost
 
 
 class TestAssignmentTypes:

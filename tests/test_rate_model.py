@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hmgroup.cli import load_snr_csv
 from hmgroup.matching_core import load_cost_csv
+from hmgroup import rate_model
 from hmgroup.rate_model import (
     HierRateModel,
     ModcodEntry,
@@ -202,6 +203,33 @@ class TestHierRate:
                 )
 
 
+def packed_pair_rate_matrix(snrs_db: np.ndarray) -> np.ndarray:
+    """The capacity model as it was before row blocks: the closed form on the packed
+    upper triangle, scattered into both triangles. The reference the blocks must
+    match bit for bit."""
+    n = len(snrs_db)
+    out = np.zeros((n, n))
+    iu, ju = np.triu_indices(n, k=1)
+    s = rate_model._db_to_linear(snrs_db)
+    weak, strong = np.minimum(s[iu], s[ju]), np.maximum(s[iu], s[ju])
+    out[iu, ju] = out[ju, iu] = rate_model._balanced_superposition_rate(weak, strong)
+    return out
+
+
+BLOCK = rate_model._ROW_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 500, 501])
+def test_row_blocks_match_the_packed_triangle(capacity_model, n):
+    rng = np.random.default_rng(n)
+    beam = 12.0 - 3.0 * rng.random(n) ** 2 - rng.exponential(2.0, n)
+    wide = rng.uniform(-15.0, 35.0, n)
+    wide[: n // 3] = wide[0]  # equal SNRs: both orders of a pair give one rate
+    for snrs in (beam, wide):
+        got = pair_rate_matrix(snrs, capacity_model)
+        assert got.tobytes() == packed_pair_rate_matrix(snrs).tobytes()
+
+
 class TestTableDrivenModel:
     def make_model(self):
         pairs = {(3.0, 17.0): 1.5, (5.0, 5.0): 0.9}
@@ -302,3 +330,22 @@ class TestSharedCsvReader:
     def test_unsupported_source_type_rejected(self, loader, header, good, bad):
         with pytest.raises(TypeError, match="unsupported source type"):
             loader(42)
+
+    def test_lone_carriage_returns_end_rows_in_streams(self):
+        # csv reads "\r" as a line end in a stream as it does in a file
+        receivers = load_snr_csv(io.StringIO("receiver_id,snr_db\r1,2.0\r2,3.0\r"))
+        assert [(r.index, r.snr_db) for r in receivers] == [(1, 2.0), (2, 3.0)]
+        with pytest.raises(ModcodParseError, match="^row 2: ") as info:
+            load_snr_csv(io.StringIO("receiver_id,snr_db\r1,2.0\r2,x\r"))
+        assert info.value.row == 2
+
+    def test_bad_byte_reported_at_its_file_offset(self, tmp_path):
+        rows = "".join(f"{k},{k / 7!r}\n" for k in range(1, 1000))
+        payload = bytearray(("receiver_id,snr_db\n" + rows).encode())
+        assert len(payload) > 16904
+        payload[16903] = 0xFF
+        path = tmp_path / "snr.csv"
+        path.write_bytes(payload)
+        for source in (path, str(path), io.BytesIO(payload), bytes(payload)):
+            with pytest.raises(UnicodeDecodeError, match="in position 16903:"):
+                load_snr_csv(source)
